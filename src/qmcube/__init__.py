@@ -21,9 +21,7 @@ from .ledger import (
     aliasing_check,
     build_ledger,
     fwht,
-    fwht_direct,
     lattice_dft,
-    lattice_dft_direct,
     predicted_coefficients,
     synthesize_integrand,
     tier_sums,

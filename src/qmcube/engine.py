@@ -32,14 +32,8 @@ class Tolerance:
 
     abs_tol: float = 0.0
     rel_tol: float = 0.0
-    mode: str = "max"
 
     def __post_init__(self):
-        if self.mode != "max":
-            raise ValueError(
-                f"unsupported tolerance mode {self.mode!r}: only the hybrid "
-                "'max' criterion is implemented"
-            )
         if self.abs_tol < 0:
             raise ValueError("abs_tol must be nonnegative")
         if not 0 <= self.rel_tol < 1:
@@ -94,22 +88,19 @@ def sup_tolerance(v_minus: float, v_plus: float, tol: Tolerance) -> float:
 
 @dataclass(frozen=True)
 class SolutionFunctional:
-    """A scalar function of several integrals plus its interval oracle.
+    """A scalar function v of several integrals, given by its interval oracle.
 
-    ``evaluate`` maps a mean vector to v(mu); ``bounds`` maps the box
-    (mu_hat - err, mu_hat + err), intersected with v's domain, to the
-    extreme values (v-, v+).
+    ``bounds`` maps the box (mu_hat - err, mu_hat + err), intersected with
+    v's domain, to the extreme values (v-, v+).
     """
 
     output_count: int
-    evaluate: Callable[[np.ndarray], float]
     bounds: Callable[[np.ndarray, np.ndarray], tuple[float, float]]
 
 
 def identity_functional() -> SolutionFunctional:
     return SolutionFunctional(
         output_count=1,
-        evaluate=lambda mu: float(mu[0]),
         bounds=lambda mu, err: (float(mu[0] - err[0]), float(mu[0] + err[0])),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .engine import SolutionFunctional
 
@@ -39,49 +39,12 @@ def norm_pdf(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-# Peter Acklam's rational approximation to the normal quantile (max abs
-# error ~1.15e-9), sharpened by one Newton step against norm_cdf.
-_ICDF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ICDF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-           6.680131188771972e+01, -1.328068155288572e+01)
-_ICDF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-           3.754408661907416e+00)
-_ICDF_PLOW = 0.02425
-
-
-def _horner(coeffs, x):
-    out = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
-
-
 def norm_inv_cdf(u):
     """Standard normal quantile for u strictly inside (0, 1)."""
     u = np.asarray(u, dtype=np.float64)
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("norm_inv_cdf requires arguments strictly inside (0, 1)")
-    x = np.empty_like(u)
-    low = u < _ICDF_PLOW
-    high = u > 1.0 - _ICDF_PLOW
-    mid = ~(low | high)
-    if low.any():
-        q = np.sqrt(-2.0 * np.log(u[low]))
-        x[low] = _horner(_ICDF_C, q) / (_horner(_ICDF_D, q) * q + 1.0)
-    if high.any():
-        q = np.sqrt(-2.0 * np.log1p(-u[high]))
-        x[high] = -(_horner(_ICDF_C, q) / (_horner(_ICDF_D, q) * q + 1.0))
-    if mid.any():
-        q = u[mid] - 0.5
-        r = q * q
-        x[mid] = q * _horner(_ICDF_A, r) / (_horner(_ICDF_B, r) * r + 1.0)
-    # one Newton step: quadratic convergence makes the round-trip exact to
-    # well below 1e-12
-    x -= (norm_cdf(x) - u) / norm_pdf(x)
-    return x
+    return ndtri(u)
 
 
 # -- multivariate normal probabilities --------------------------------------
@@ -264,10 +227,6 @@ class SobolIndexProblem:
         return f
 
 
-def sobol_index_value(mu: np.ndarray) -> float:
-    return float(mu[0] / (mu[1] - mu[2] ** 2))
-
-
 def sobol_index_bounds(mu: np.ndarray, err: np.ndarray) -> tuple[float, float]:
     """Extreme index values over the error box intersected with [0, 1].
 
@@ -290,55 +249,10 @@ def sobol_index_bounds(mu: np.ndarray, err: np.ndarray) -> tuple[float, float]:
 
 
 def sobol_index_functional() -> SolutionFunctional:
-    return SolutionFunctional(
-        output_count=3, evaluate=sobol_index_value, bounds=sobol_index_bounds
-    )
+    return SolutionFunctional(output_count=3, bounds=sobol_index_bounds)
 
 
 # -- Asian options -----------------------------------------------------------
-
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 50):
-    """Symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Returns eigenvalues (descending) and the matching eigenvector columns.
-    Iterates full sweeps until the off-diagonal Frobenius norm falls below
-    tol times the matrix norm.
-    """
-    a = np.array(matrix, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("jacobi_eigh expects a symmetric square matrix")
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-30:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
-                c, s = np.cos(theta), np.sin(theta)
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    lam = np.diag(a).copy()
-    order = np.argsort(lam)[::-1]
-    lam, v = lam[order], v[:, order]
-    # deterministic sign convention: largest-magnitude entry positive
-    for col in range(n):
-        peak = np.argmax(np.abs(v[:, col]))
-        if v[peak, col] < 0:
-            v[:, col] = -v[:, col]
-    return np.maximum(lam, 0.0), v
-
 
 @dataclass(frozen=True)
 class AsianOption:
@@ -362,9 +276,16 @@ class AsianOption:
 
     def path_matrix(self) -> np.ndarray:
         """PCA factor A with A A^T equal to the Brownian covariance,
-        columns ordered by descending variance contribution."""
-        lam, vec = jacobi_eigh(self.brownian_covariance())
-        return vec * np.sqrt(lam)[None, :]
+        columns ordered by descending variance contribution, row 0 positive.
+
+        Eigenvector k is proportional to sin((2k-1) i pi / (2d+1)),
+        i = 1..d, whose first entry is positive.  Its two largest entries
+        tie to rounding, so they cannot fix the sign.
+        """
+        lam, vec = np.linalg.eigh(self.brownian_covariance())
+        lam, vec = lam[::-1], vec[:, ::-1]
+        vec = vec * np.sign(vec[0])[None, :]
+        return vec * np.sqrt(np.maximum(lam, 0.0))[None, :]
 
     def geometric_price(self) -> float:
         """Closed-form price of the geometric-mean Asian call.
@@ -377,10 +298,12 @@ class AsianOption:
         mean_log = (self.rate - 0.5 * self.volatility**2) * float(np.mean(t))
         var_log = self.volatility**2 * float(np.sum(self.brownian_covariance())) / d**2
         sd_log = np.sqrt(var_log)
-        d2 = (np.log(self.spot / self.strike) + mean_log) / sd_log
-        d1 = d2 + sd_log
         disc = np.exp(-self.rate * self.maturity)
         forward = self.spot * np.exp(mean_log + 0.5 * var_log)
+        if sd_log == 0.0:
+            return float(disc * max(forward - self.strike, 0.0))
+        d2 = (np.log(self.spot / self.strike) + mean_log) / sd_log
+        d1 = d2 + sd_log
         return float(disc * (forward * norm_cdf(d1) - self.strike * norm_cdf(d2)))
 
 

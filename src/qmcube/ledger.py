@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sequences import PRECISION, DigitalGenerator, LatticeGenerator
+from .sequences import PRECISION, DigitalGenerator, LatticeGenerator, bit_reverse
 
 
 class TransformError(ValueError):
@@ -60,26 +60,6 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return y[:, 0] if squeeze else y
 
 
-def fwht_direct(values: np.ndarray) -> np.ndarray:
-    """O(n^2) reference definition of :func:`fwht` (oracle, small n only)."""
-    y = np.asarray(values, dtype=np.float64)
-    n = y.shape[0]
-    _check_pow2(n)
-    idx = np.arange(n, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & np.uint64(1)).astype(
-        np.float64
-    )
-    return signs.T @ y / n
-
-
-def bit_reverse_permutation(m: int) -> np.ndarray:
-    idx = np.arange(1 << m, dtype=np.uint64)
-    rev = np.zeros_like(idx)
-    for b in range(m):
-        rev |= ((idx >> np.uint64(b)) & np.uint64(1)) << np.uint64(m - 1 - b)
-    return rev.astype(np.intp)
-
-
 def lattice_dft(values: np.ndarray) -> np.ndarray:
     """Discrete Fourier coefficients of lattice data given in sequence order.
 
@@ -92,19 +72,8 @@ def lattice_dft(values: np.ndarray) -> np.ndarray:
     y = np.asarray(values, dtype=np.float64)
     n = y.shape[0]
     m = _check_pow2(n)
-    perm = bit_reverse_permutation(m)
+    perm = bit_reverse(np.arange(n, dtype=np.uint64), m).astype(np.intp)
     return np.fft.fft(y[perm], axis=0) / n
-
-
-def lattice_dft_direct(values: np.ndarray) -> np.ndarray:
-    """O(n^2) reference definition of :func:`lattice_dft` (oracle)."""
-    y = np.asarray(values, dtype=np.float64)
-    n = y.shape[0]
-    m = _check_pow2(n)
-    perm = bit_reverse_permutation(m)
-    k = np.arange(n)
-    weights = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return weights.T @ y[perm] / n
 
 
 def tier_sums(magnitudes: np.ndarray) -> np.ndarray:

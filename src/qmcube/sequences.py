@@ -203,6 +203,14 @@ class DigitalGenerator:
         return PointBatch(start=start, points=ints.astype(np.float64) * _SCALE)
 
 
+def bit_reverse(idx: np.ndarray, bits: int) -> np.ndarray:
+    """Reverse the low ``bits`` bits of each uint64 index."""
+    rev = np.zeros_like(idx)
+    for b in range(bits):
+        rev |= ((idx >> np.uint64(b)) & np.uint64(1)) << np.uint64(bits - 1 - b)
+    return rev
+
+
 class LatticeGenerator:
     """Shifted rank-1 lattice node sequence in van der Corput order.
 
@@ -239,10 +247,7 @@ class LatticeGenerator:
             raise IndexRangeError(
                 f"index range [{start}, {start + count}) exceeds modulus 2^{self.m_max}"
             )
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        rev = np.zeros_like(idx)
-        for b in range(self.m_max):
-            rev |= ((idx >> np.uint64(b)) & np.uint64(1)) << np.uint64(self.m_max - 1 - b)
+        rev = bit_reverse(np.arange(start, start + count, dtype=np.uint64), self.m_max)
         phi = rev.astype(np.float64) * 2.0**-self.m_max
         # phi * g is exact in binary64 (at most 2*m_max < 53 bits) and must
         # be reduced mod 1 before the shift is added, or the shift's low

@@ -1,5 +1,7 @@
 """Normal kernels, Genz transform, Bratley indices, Asian payoffs."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,12 @@ from qmcube.integrands import (
     bratley_g,
     equicorrelated_mvn,
     genz_integrand,
-    jacobi_eigh,
     mvn_equicorrelated_oracle,
     norm_cdf,
     norm_inv_cdf,
     norm_pdf,
     sobol_index_bounds,
     sobol_index_functional,
-    sobol_index_value,
 )
 
 
@@ -199,7 +199,6 @@ class TestSobolIndexFunctional:
             assert v_plus - hi <= 0.1
 
     def test_functional_value(self):
-        assert sobol_index_value(np.array([0.25, 1.0, 0.5])) == pytest.approx(0.25 / 0.75)
         f = sobol_index_functional()
         assert f.output_count == 3
 
@@ -222,44 +221,30 @@ class TestSobolIndexFunctional:
             SobolIndexProblem(model=bratley_g, coordinate=7, dimension=6)
 
 
-class TestJacobi:
-    def test_reconstructs_brownian_covariance(self):
-        opt = AsianOption()
-        C = opt.brownian_covariance()
-        lam, vec = jacobi_eigh(C)
-        assert np.abs(vec @ np.diag(lam) @ vec.T - C).max() < 1e-8
-        assert (lam >= 0).all()
-        assert (np.diff(lam) <= 1e-12).all()
-
-    def test_matches_lapack_spectrum(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((12, 12))
-        sym = a @ a.T
-        lam, _ = jacobi_eigh(sym)
-        expect = np.sort(np.linalg.eigvalsh(sym))[::-1]
-        assert np.abs(lam - expect).max() < 1e-9
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 class TestAsianOption:
     def test_path_matrix_factorizes_covariance(self):
         opt = AsianOption()
         A = opt.path_matrix()
         assert np.abs(A @ A.T - opt.brownian_covariance()).max() < 1e-8
+        variances = (A**2).sum(axis=0)
+        assert (np.diff(variances) <= 1e-12).all()
+        assert (A[0] > 0).all()
 
     def test_zero_volatility_is_deterministic(self):
         opt = AsianOption(volatility=0.0)
-        arith, geo, mu_g = asian_payoffs(opt)
         x = np.random.default_rng(1).random((100, 52))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arith, geo, mu_g = asian_payoffs(opt)
+            # zero rate puts the forward exactly at the default strike
+            at_forward = AsianOption(rate=0.0, volatility=0.0).geometric_price()
         s = opt.spot * np.exp(opt.rate * opt.times)
         expect_arith = np.exp(-opt.rate) * max(s.mean() - opt.strike, 0.0)
         expect_geo = np.exp(-opt.rate) * max(np.exp(np.log(s).mean()) - opt.strike, 0.0)
         assert np.allclose(arith(x), expect_arith, atol=1e-10)
         assert np.allclose(geo(x), expect_geo, atol=1e-10)
         assert mu_g == pytest.approx(expect_geo, abs=1e-9)
+        assert at_forward == 0.0
 
     def test_arithmetic_dominates_geometric_pathwise(self):
         arith, geo, _ = asian_payoffs(AsianOption())

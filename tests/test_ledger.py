@@ -10,9 +10,7 @@ from qmcube.ledger import (
     aliasing_check,
     build_ledger,
     fwht,
-    fwht_direct,
     lattice_dft,
-    lattice_dft_direct,
     magnitude_map,
     predicted_coefficients,
     synthesize_integrand,
@@ -25,6 +23,28 @@ from qmcube.sequences import (
     randomize_digital,
     randomize_lattice,
 )
+
+
+def fwht_direct(values: np.ndarray) -> np.ndarray:
+    """O(n^2) reference definition of :func:`fwht` (small n only)."""
+    y = np.asarray(values, dtype=np.float64)
+    idx = np.arange(y.shape[0], dtype=np.uint64)
+    parity = np.bitwise_count(idx[:, None] & idx[None, :]) & np.uint64(1)
+    return (1.0 - 2.0 * parity.astype(np.float64)) @ y / y.shape[0]
+
+
+def lattice_dft_direct(values: np.ndarray) -> np.ndarray:
+    """O(n^2) reference definition of :func:`lattice_dft` (small n only).
+
+    Sequence index i carries node bit-reverse(i), so node order is
+    restored before the plain DFT sum.
+    """
+    y = np.asarray(values, dtype=np.float64)
+    n = y.shape[0]
+    m = n.bit_length() - 1
+    perm = [int(format(i, f"0{m}b")[::-1], 2) for i in range(n)]
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(k, k) / n) @ y[perm] / n
 
 
 class TestFwht:
