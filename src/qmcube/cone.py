@@ -67,6 +67,7 @@ class ConeParams:
                 f"r={self.r}",
                 f"C_scale={self.bound_scale!r}",
                 f"rho_scale={self.rho_scale!r}",
+                f"rho_cap={self.rho_cap!r}",
                 f"m_max={self.m_max}",
             ]
         )

@@ -17,12 +17,11 @@ import numpy as np
 
 from .cone import ConeParams, error_bound, necessary_condition
 from .engine import (
-    STATUS_BUDGET_EXHAUSTED,
     STATUS_TOLERANCE_MET,
     CubatureResult,
     Tolerance,
+    _level_budget,
     _resolve_generator,
-    identity_functional,
     optimal_estimate,
     sup_tolerance,
 )
@@ -124,12 +123,13 @@ def cv_integrate(
     combined values h = f + beta . (mu_g - g) are transformed and driven
     through the standard stopping rule.  Under the freeze policy beta is
     fit once at the first level; the refresh policy refits each level.
+    While beta is unchanged, only the new half of h is formed and the
+    ledger extends the previous level's transform; the raw f and g values
+    are kept only while a later level may refit beta.
     """
     cone = cone or ConeParams()
     gen = _resolve_generator(family, dimension, seed, generator)
-    top_level = min(cone.m_max, gen.max_level)
-    if top_level < cone.min_level:
-        raise ValueError("generator capacity is below the minimum level")
+    top_level, status = _level_budget(cone, gen)
     transform = fwht if gen.family == "digital" else lattice_dft
 
     start = time.perf_counter()
@@ -139,24 +139,28 @@ def cv_integrate(
     fallback = False
     violations = []
     h_ledger = None
-    status = STATUS_BUDGET_EXHAUSTED
     for m in range(cone.min_level, top_level + 1):
         lo = 0 if m == cone.min_level else 1 << (m - 1)
         batch = gen.points(lo, (1 << m) - lo)
-        f_values = np.concatenate([f_values, _evaluate(f, batch)], axis=0)
+        f_new = _evaluate(f, batch)
         g_new = _evaluate(spec.controls, batch)
         if g_new.shape[1] != spec.count:
             raise ValueError(
                 f"controls returned {g_new.shape[1]} outputs, expected {spec.count}"
             )
-        g_values = np.concatenate([g_values, g_new], axis=0)
+        previous = h_ledger
         if beta is None or spec.policy == "refresh-each-level":
+            f_values = np.concatenate([f_values, f_new], axis=0)
+            g_values = np.concatenate([g_values, g_new], axis=0)
             beta, fallback = beta_qmc(
                 transform(f_values[:, 0]), transform(g_values), m, cone.r
             )
-        h_values = f_values[:, 0] + (spec.means - g_values) @ beta
-        previous = h_ledger
-        h_ledger = CoefficientLedger(gen, m, h_values[:, None])
+            h_values = f_values[:, 0] + (spec.means - g_values) @ beta
+            h_ledger = CoefficientLedger(gen, m, h_values[:, None])
+        else:
+            h_new = f_new[:, 0] + (spec.means - g_new) @ beta
+            h_values = np.concatenate([previous.values[:, 0], h_new])
+            h_ledger = CoefficientLedger(gen, m, h_values[:, None], previous)
         if previous is not None:
             ell = m - cone.r
             violations.extend(necessary_condition(previous, h_ledger, ell, cone))

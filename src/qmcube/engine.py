@@ -22,6 +22,7 @@ from .sequences import make_generator
 
 STATUS_TOLERANCE_MET = "tolerance-met"
 STATUS_BUDGET_EXHAUSTED = "budget-exhausted"
+STATUS_CAPACITY_EXHAUSTED = "capacity-exhausted"
 FLAG_CONE_VIOLATION = "cone-violation-flagged"
 
 
@@ -155,6 +156,22 @@ def _resolve_generator(family: str, dimension: int, seed, generator):
     return make_generator(family, dimension, seed)
 
 
+def _level_budget(cone: ConeParams, gen) -> tuple[int, str]:
+    """Top level of a run and the status it reports if it stops there.
+
+    The level budget is cone.m_max unless the generator's capacity is
+    lower; a run that capacity stopped says so.
+    """
+    if gen.max_level < cone.min_level:
+        raise ValueError(
+            f"generator supports levels up to {gen.max_level}, below the "
+            f"minimum level {cone.min_level}"
+        )
+    if gen.max_level < cone.m_max:
+        return gen.max_level, STATUS_CAPACITY_EXHAUSTED
+    return cone.m_max, STATUS_BUDGET_EXHAUSTED
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     dimension: int,
@@ -170,22 +187,18 @@ def integrate(
     Doubles n = 2**m from the minimum level until the worst-case
     tolerance over the interval the bound oracle produces is at most
     one, or the level budget (cone.m_max, capped by the generator's
-    capacity) runs out.  The cross-level necessary condition is checked
-    at each new level; violations are recorded, not fatal.
+    capacity) runs out; the status then reads "budget-exhausted", or
+    "capacity-exhausted" when the generator's capacity was the cap.  The
+    cross-level necessary condition is checked at each new level;
+    violations are recorded, not fatal.
     """
     cone = cone or ConeParams()
     gen = _resolve_generator(family, dimension, seed, generator)
-    top_level = min(cone.m_max, gen.max_level)
-    if top_level < cone.min_level:
-        raise ValueError(
-            f"generator supports levels up to {gen.max_level}, below the "
-            f"minimum level {cone.min_level}"
-        )
+    top_level, status = _level_budget(cone, gen)
 
     start = time.perf_counter()
     violations: list[ViolationReport] = []
     ledger: CoefficientLedger | None = None
-    status = STATUS_BUDGET_EXHAUSTED
     for m in range(cone.min_level, top_level + 1):
         previous = ledger
         ledger = build_ledger(f, gen, m, previous)

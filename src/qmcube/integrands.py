@@ -4,7 +4,10 @@ normal-distribution kernels they need.
 
 All integrands are pure functions mapping an (n, d) array of points in
 [0,1)^d to an (n,) or (n, p) array of values; they are safe to evaluate
-concurrently in batches.
+concurrently in batches.  The generators hand out read-only point
+batches; the two Asian payoffs from one :func:`asian_payoffs` call share
+the normal quantiles of such a batch, so the pair pays for one quantile
+pass per batch.
 """
 
 from __future__ import annotations
@@ -314,29 +317,52 @@ def asian_payoffs(option: AsianOption):
     with its known price is the natural control variate for the
     arithmetic one.  Zero coordinates are nudged into (0, 1) before the
     normal quantile (logged once per batch at debug level).
+
+    The quantiles of a read-only batch are handed from whichever payoff
+    sees the batch first to the other one, through a one-slot hand-off
+    keyed on the array's identity; a writeable array could change between
+    the calls, so it is never shared.  The slot is one tuple, read and
+    replaced whole, so concurrent callers at worst compute it twice.  A
+    payoff used on its own holds its last batch's quantiles until its next
+    call.
     """
     d = option.monitors
     A = option.path_matrix()
     t = option.times
     drift = (option.rate - 0.5 * option.volatility**2) * t
     disc = np.exp(-option.rate * option.maturity)
+    # The log geometric mean is linear in the normals.
+    log_geo_base = np.log(option.spot) + drift.mean()
+    log_geo_weights = option.volatility * A.mean(axis=0)
+    handoff = (None, None)
 
-    def paths(x: np.ndarray) -> np.ndarray:
+    def normals(x: np.ndarray) -> np.ndarray:
+        nonlocal handoff
         if x.shape[1] != d:
             raise ValueError(f"expected {d} coordinates, got {x.shape[1]}")
+        last_x, last_z = handoff
+        handoff = (None, None)
+        if last_x is x:
+            return last_z
         nudged = np.count_nonzero(x == 0.0)
         if nudged:
             log.debug("nudged %d zero coordinates to 2^-53 before the quantile", nudged)
-            x = np.maximum(x, _TINY)
-        z = norm_inv_cdf(x) @ A.T
-        return option.spot * np.exp(drift[None, :] + option.volatility * z)
+        z = norm_inv_cdf(np.maximum(x, _TINY) if nudged else x)
+        if not x.flags.writeable:
+            handoff = (x, z)
+        return z
 
     def arithmetic(x: np.ndarray) -> np.ndarray:
-        s = paths(x)
+        s = normals(x) @ A.T
+        s *= option.volatility
+        s += drift
+        np.exp(s, out=s)
+        s *= option.spot
         return disc * np.maximum(s.mean(axis=1) - option.strike, 0.0)
 
     def geometric(x: np.ndarray) -> np.ndarray:
-        s = paths(x)
-        return disc * np.maximum(np.exp(np.log(s).mean(axis=1)) - option.strike, 0.0)
+        log_geo = normals(x) @ log_geo_weights
+        log_geo += log_geo_base
+        return disc * np.maximum(np.exp(log_geo) - option.strike, 0.0)
 
     return arithmetic, geometric, option.geometric_price()

@@ -128,14 +128,37 @@ class CoefficientLedger:
     data-driven :func:`magnitude_map` permutation, which restores the
     convention that indices increase as coefficients decay and is what the
     error bound reads.  Both are pure functions of the cached values.
+
+    ``previous``, the level m-1 ledger whose values are the first half of
+    ``values``, lets the digital transform run on the new half only: the
+    level-m coefficients are ((a + b) / 2, (a - b) / 2) with a the previous
+    signed coefficients and b the transform of the new half, which is the
+    last butterfly stage of :func:`fwht` and gives the same bits.  The
+    lattice transform is recomputed in full either way.
     """
 
-    def __init__(self, generator, m: int, values: np.ndarray):
+    def __init__(self, generator, m: int, values: np.ndarray,
+                 previous: CoefficientLedger | None = None):
         self.generator = generator
         self.family = generator.family
         self.m = m
         self.values = values
-        coef = self.coefficients()
+        if previous is not None and (
+            previous.m != m - 1 or previous.generator is not generator
+            or previous.outputs != self.outputs
+        ):
+            raise ValueError("previous ledger must be level m-1 for the same generator and outputs")
+        if self.family == "digital":
+            if previous is None:
+                coef = fwht(values)
+            else:
+                a, b = previous._signed, fwht(values[previous.n :])
+                coef = np.concatenate([a + b, a - b], axis=0)
+                coef /= 2
+            # kept for the next level's butterfly
+            self._signed = coef
+        else:
+            coef = lattice_dft(values)
         self.magnitudes = np.abs(coef)
         self.mean = coef[0].real.copy()
         self.tiers = tier_sums(self.magnitudes)
@@ -159,7 +182,7 @@ class CoefficientLedger:
     def coefficients(self) -> np.ndarray:
         """Signed (digital) or complex (lattice) transform of the cached values."""
         if self.family == "digital":
-            return fwht(self.values)
+            return self._signed.copy()
         return lattice_dft(self.values)
 
     def tier(self, ell: int) -> np.ndarray:
@@ -201,19 +224,17 @@ def build_ledger(
     """Evaluate the integrand on the first 2**m points and transform.
 
     When ``previous`` (the level m-1 ledger of the same generator) is
-    supplied, only the 2**(m-1) new points are evaluated; the transform is
-    recomputed over the full value array either way.
+    supplied, only the 2**(m-1) new points are evaluated, and the digital
+    transform runs on the new half only (see :class:`CoefficientLedger`).
     """
     if m < 1:
         raise ValueError("level m must be at least 1")
     if previous is None:
         values = _evaluate(f, generator.points(0, 1 << m))
     else:
-        if previous.m != m - 1 or previous.generator is not generator:
-            raise ValueError("previous ledger must be level m-1 for the same generator")
         fresh = _evaluate(f, generator.points(1 << (m - 1), 1 << (m - 1)))
         values = np.concatenate([previous.values, fresh], axis=0)
-    return CoefficientLedger(generator, m, values)
+    return CoefficientLedger(generator, m, values, previous)
 
 
 # -- sparse-spectrum diagnostics ------------------------------------------

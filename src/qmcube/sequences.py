@@ -45,11 +45,18 @@ class PointBatch:
     """A contiguous block of sequence points.
 
     Row ``i`` holds the point with global index ``start + i``; all
-    coordinates lie in [0, 1).
+    coordinates lie in [0, 1).  ``points`` is read-only.
     """
 
     start: int
     points: np.ndarray
+
+    def __post_init__(self):
+        # A read-only view: integrands may cache per-batch work keyed on the
+        # array's identity, which is only sound if the values cannot change.
+        view = np.asarray(self.points).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "points", view)
 
     @property
     def count(self) -> int:
@@ -130,6 +137,17 @@ def _identity_scramble_rows() -> np.ndarray:
     return np.array([1 << (PRECISION - 1 - r) for r in range(PRECISION)], dtype=np.uint64)
 
 
+def _dyadic_blocks(start: int, count: int):
+    """Split [start, start + count) into aligned blocks (s, size): size = 2**k divides s."""
+    while count:
+        size = 1 << (count.bit_length() - 1)
+        if start:
+            size = min(size, start & -start)
+        yield start, size
+        start += size
+        count -= size
+
+
 class DigitalGenerator:
     """Scrambled, digitally shifted base-2 digital sequence.
 
@@ -163,24 +181,18 @@ class DigitalGenerator:
             np.zeros(d, dtype=np.uint64) if shift is None else np.asarray(shift, dtype=np.uint64)
         )
         self.max_level = PRECISION
-        # Byte-indexed XOR tables: combining per-byte lookups reproduces the
-        # XOR of the columns selected by the index bits.
-        ngroups = (PRECISION + 7) // 8
-        tables = np.zeros((d, ngroups, 256), dtype=np.uint64)
-        for t in range(ngroups):
-            for v in range(1, 256):
-                low = v & -v
-                b = 8 * t + low.bit_length() - 1
-                col = self.columns[:, b] if b < PRECISION else np.uint64(0)
-                tables[:, t, v] = tables[:, t, v & (v - 1)] ^ col
-        self._tables = tables
 
     @property
     def dimension(self) -> int:
         return self.base_columns.shape[0]
 
     def point_integers(self, start: int, count: int, dim: int | None = None) -> np.ndarray:
-        """Shifted, scrambled points as 52-bit integers, shape (count, dim)."""
+        """Shifted, scrambled points as 52-bit integers, shape (count, dim).
+
+        Each aligned block starts from its base point and doubles:
+        the point with index s + j + 2**b is the one with index s + j
+        XOR column b, for j < 2**b.
+        """
         dim = self.dimension if dim is None else dim
         if dim > self.dimension:
             raise DirectionTableError(
@@ -188,19 +200,23 @@ class DigitalGenerator:
             )
         if start < 0 or count < 0 or start + count > 1 << PRECISION:
             raise IndexRangeError(f"index range [{start}, {start + count}) out of bounds")
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        out = np.zeros((dim, count), dtype=np.uint64)
-        top = int(start + count - 1).bit_length() if count else 0
-        for t in range((top + 7) // 8):
-            bytes_t = ((idx >> np.uint64(8 * t)) & np.uint64(0xFF)).astype(np.intp)
-            out ^= self._tables[:dim, t, bytes_t]
-        out ^= self.shift[:dim, None]
+        cols = self.columns[:dim]
+        out = np.empty((dim, count), dtype=np.uint64)
+        for s, size in _dyadic_blocks(start, count):
+            block = out[:, s - start : s - start + size]
+            bits = [b for b in range(s.bit_length()) if s >> b & 1]
+            block[:, 0] = np.bitwise_xor.reduce(cols[:, bits], axis=1) ^ self.shift[:dim]
+            h = 1
+            while h < size:
+                np.bitwise_xor(block[:, :h], cols[:, h.bit_length() - 1, None], out=block[:, h : 2 * h])
+                h *= 2
         return out.T
 
     def points(self, start: int, count: int, dim: int | None = None) -> PointBatch:
         """Generate points x_i = scramble(z_i) xor shift in natural order."""
-        ints = self.point_integers(start, count, dim)
-        return PointBatch(start=start, points=ints.astype(np.float64) * _SCALE)
+        points = self.point_integers(start, count, dim).astype(np.float64)
+        points *= _SCALE
+        return PointBatch(start=start, points=points)
 
 
 def bit_reverse(idx: np.ndarray, bits: int) -> np.ndarray:
@@ -247,13 +263,26 @@ class LatticeGenerator:
             raise IndexRangeError(
                 f"index range [{start}, {start + count}) exceeds modulus 2^{self.m_max}"
             )
-        rev = bit_reverse(np.arange(start, start + count, dtype=np.uint64), self.m_max)
-        phi = rev.astype(np.float64) * 2.0**-self.m_max
-        # phi * g is exact in binary64 (at most 2*m_max < 53 bits) and must
-        # be reduced mod 1 before the shift is added, or the shift's low
-        # bits are lost against the large integer part.
-        coords = phi[:, None] * self.generating_vector[None, :dim].astype(np.float64)
-        coords = np.mod(np.mod(coords, 1.0) + self.shift[None, :dim], 1.0)
+        # Node integers rev(i) * g mod 2**m_max; rev(s + j + 2**b) is rev(s + j)
+        # plus 2**(m_max-1-b) for j < 2**b, so each aligned block doubles by
+        # one addition.  uint64 arithmetic wraps mod 2**64, a multiple of the
+        # modulus, so one mask at the end reduces every node exactly.
+        m = self.m_max
+        g = self.generating_vector[:dim].astype(np.uint64)
+        nodes = np.empty((count, dim), dtype=np.uint64)
+        for s, size in _dyadic_blocks(start, count):
+            block = nodes[s - start : s - start + size]
+            block[0] = g * bit_reverse(np.array([s], dtype=np.uint64), m)[0]
+            h = 1
+            while h < size:
+                np.add(block[:h], g << np.uint64(m - h.bit_length()), out=block[h : 2 * h])
+                h *= 2
+        nodes &= np.uint64((1 << m) - 1)
+        # Exact in binary64 (m_max <= 40); the shift is added last, mod 1.
+        coords = nodes.astype(np.float64)
+        coords *= 2.0**-m
+        coords += self.shift[:dim]
+        coords -= np.floor(coords)
         return PointBatch(start=start, points=coords)
 
 

@@ -36,8 +36,9 @@ class TestConeParams:
 
     def test_serialize_keys(self):
         text = ConeParams().serialize()
-        for key in ("l_star=", "r=", "C_scale=", "rho_scale=", "m_max="):
+        for key in ("l_star=", "r=", "C_scale=", "rho_scale=", "rho_cap=", "m_max="):
             assert key in text
+        assert "rho_cap=0.5" in ConeParams(rho_cap=0.5).serialize().splitlines()
 
 
 class TestErrorBound:

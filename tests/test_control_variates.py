@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import qmcube as q
+from qmcube.cone import ConeParams, error_bound
 from qmcube.control_variates import (
     ControlVariateSpec,
     beta_mc,
     beta_qmc,
     cv_integrate,
 )
-from qmcube.ledger import build_ledger, fwht
+from qmcube.ledger import CoefficientLedger, build_ledger, fwht
 from qmcube.sequences import make_generator
 
 
@@ -138,6 +139,51 @@ class TestCvIntegrate:
             plain = q.integrate_scalar(f, 2, tol, seed=seed)
             cv = cv_integrate(f, 2, spec, tol, seed=seed)
             assert cv.result.n < plain.n
+
+    def test_frozen_beta_ledger_incremental_equals_fresh(self):
+        # the freeze policy forms only the new half of h after the first
+        # level and extends the previous level's transform
+        f = lambda x: np.exp(x[:, 0] + 0.5 * x[:, 1])
+        g = lambda x: np.stack([x[:, 0], x[:, 1] ** 2], axis=1)
+        means = np.array([0.5, 1.0 / 3.0])
+        gen = make_generator("digital", 2, 13)
+        pts = gen.points(0, 1 << 10).points
+        beta, _ = beta_qmc(fwht(f(pts)), fwht(g(pts)), m=10, r=4)
+        ledger = CoefficientLedger(gen, 10, (f(pts) + (means - g(pts)) @ beta)[:, None])
+        for m in range(11, 14):
+            new = gen.points(1 << (m - 1), 1 << (m - 1)).points
+            h_new = f(new) + (means - g(new)) @ beta
+            values = np.concatenate([ledger.values[:, 0], h_new])[:, None]
+            ledger = CoefficientLedger(gen, m, values, ledger)
+            allpts = gen.points(0, 1 << m).points
+            fresh = CoefficientLedger(gen, m, (f(allpts) + (means - g(allpts)) @ beta)[:, None])
+            assert np.array_equal(ledger.values, fresh.values)
+            assert np.array_equal(ledger.magnitudes, fresh.magnitudes)
+            assert np.array_equal(ledger.ranked_tiers, fresh.ranked_tiers)
+        # cv_integrate's own ledger at its final level against a fresh one
+        spec = ControlVariateSpec(controls=g, means=means)
+        out = cv_integrate(f, 2, spec, q.Tolerance(1e-7), generator=gen)
+        assert out.result.n > 1 << 10
+        allpts = gen.points(0, out.result.n).points
+        m = out.result.n.bit_length() - 1
+        fresh = CoefficientLedger(gen, m, (f(allpts) + (means - g(allpts)) @ out.beta)[:, None])
+        expect = error_bound(fresh, ConeParams())
+        assert np.array_equal(out.result.estimate.mu, expect.mu)
+        assert np.array_equal(out.result.estimate.err, expect.err)
+
+    def test_capacity_exhausted_and_too_little_capacity(self):
+        f = lambda x: x[:, 0] ** 2
+        spec = ControlVariateSpec(controls=lambda x: x[:, :1], means=[0.5])
+        gen = q.default_lattice_generator(2, m_max=12)
+        out = cv_integrate(f, 2, spec, q.Tolerance(1e-12), generator=gen)
+        assert out.result.status == "capacity-exhausted"
+        assert out.result.n == 1 << 12
+        small = q.default_lattice_generator(2, m_max=8)
+        message = "generator supports levels up to 8, below the minimum level 10"
+        with pytest.raises(ValueError, match=message):
+            cv_integrate(f, 2, spec, q.Tolerance(1e-3), generator=small)
+        with pytest.raises(ValueError, match=message):
+            q.integrate_scalar(f, 2, q.Tolerance(1e-3), generator=small)
 
     def test_refresh_policy_runs(self):
         f = lambda x: np.prod(2.0 * x, axis=1)

@@ -215,6 +215,14 @@ class TestIntegrate:
         assert res.n == 2048
         assert res.sup_tol > 1.0
 
+    def test_capacity_exhausted_status(self):
+        # the generator's capacity (2^12 nodes), not cone.m_max, ends the run
+        gen = q.default_lattice_generator(3, m_max=12)
+        res = integrate_scalar(lambda x: np.prod(2.0 * x, axis=1), 3, Tolerance(1e-12), generator=gen)
+        assert res.status == "capacity-exhausted"
+        assert res.n == 1 << 12
+        assert res.sup_tol > 1.0
+
     def test_output_count_mismatch(self):
         with pytest.raises(ValueError, match="outputs"):
             integrate(

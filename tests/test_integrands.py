@@ -269,3 +269,44 @@ class TestAsianOption:
         x = np.random.default_rng(3).random((8, 4))
         x[0, 0] = 0.0
         assert np.isfinite(arith(x)).all()
+
+    @pytest.mark.parametrize("geometric_first", [False, True])
+    def test_pair_shares_quantiles_of_read_only_batch(self, geometric_first, monkeypatch):
+        quantile_calls = []
+
+        def counted(u):
+            quantile_calls.append(u.shape)
+            return norm_inv_cdf(u)
+
+        monkeypatch.setattr("qmcube.integrands.norm_inv_cdf", counted)
+        opt = AsianOption()
+        batch = q.make_generator("digital", 52, 5).points(0, 1 << 10).points
+        arith, geo, _ = asian_payoffs(opt)
+        if geometric_first:
+            g_shared = geo(batch)
+            a_shared = arith(batch)
+        else:
+            a_shared = arith(batch)
+            g_shared = geo(batch)
+        assert len(quantile_calls) == 1
+        arith_alone, geo_alone, _ = asian_payoffs(opt)
+        assert np.array_equal(a_shared, arith_alone(batch.copy()))
+        np.testing.assert_allclose(g_shared, geo_alone(batch.copy()), rtol=1e-12, atol=0)
+        assert len(quantile_calls) == 3
+
+    def test_writeable_points_are_never_shared(self):
+        arith, geo, _ = asian_payoffs(AsianOption())
+        x = np.random.default_rng(4).random((64, 52))
+        arith(x)
+        x[:] = np.random.default_rng(5).random((64, 52))
+        assert np.array_equal(geo(x), asian_payoffs(AsianOption())[1](x))
+
+    def test_geometric_payoff_matches_path_formula(self):
+        opt = AsianOption()
+        x = q.make_generator("digital", 52, 6).points(0, 1 << 10).points
+        _, geo, _ = asian_payoffs(opt)
+        drift = (opt.rate - 0.5 * opt.volatility**2) * opt.times
+        paths = opt.spot * np.exp(drift + opt.volatility * (norm_inv_cdf(x) @ opt.path_matrix().T))
+        geo_mean = np.exp(np.log(paths).mean(axis=1))
+        expect = np.exp(-opt.rate * opt.maturity) * np.maximum(geo_mean - opt.strike, 0.0)
+        assert np.abs(geo(x) - expect).max() <= 1e-12 * geo_mean.max()

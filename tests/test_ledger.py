@@ -156,6 +156,20 @@ class TestLedger:
         assert np.array_equal(led11.magnitudes, fresh.magnitudes)
         assert np.array_equal(led11.ranked_tiers, fresh.ranked_tiers)
 
+    @pytest.mark.parametrize("family", ["digital", "lattice"])
+    def test_incremental_chain_equals_fwht_bitwise(self, family):
+        # several levels, three outputs: each butterfly step extends the
+        # previous level's coefficients to exactly the full transform
+        gen = make_generator(family, 3, 4)
+        f = lambda x: np.stack([np.exp(x[:, 0]), x[:, 1] * x[:, 2], np.sin(9 * x[:, 2])], axis=1)
+        led = build_ledger(f, gen, 6)
+        for m in range(7, 12):
+            led = build_ledger(f, gen, m, led)
+            full = fwht(led.values) if family == "digital" else lattice_dft(led.values)
+            assert np.array_equal(led.coefficients(), full)
+            assert np.array_equal(led.magnitudes, np.abs(full))
+            assert np.array_equal(led.tiers, CoefficientLedger(gen, m, led.values).tiers)
+
     def test_incremental_validates_level_and_generator(self):
         gen = make_generator("digital", 2, 9)
         f = lambda x: x[:, 0]

@@ -6,6 +6,7 @@ import pytest
 from qmcube.sequences import (
     DirectionTableError,
     IndexRangeError,
+    LatticeGenerator,
     LatticeVectorError,
     default_digital_generator,
     default_lattice_generator,
@@ -162,6 +163,78 @@ class TestLattice:
             load_lattice_vector("1\nx\n", m_max=6)
         with pytest.raises(LatticeVectorError):
             load_lattice_vector("1\n3\n", m_max=6, dimension=5)
+
+
+def rev_bits(i, bits):
+    return int(format(i, f"0{bits}b")[::-1], 2)
+
+
+def digital_oracle(gen, i):
+    """Point i from its definition: shift XOR the columns of i's set bits."""
+    row = []
+    for c in range(gen.dimension):
+        v = int(gen.shift[c])
+        for b in range(i.bit_length()):
+            if i >> b & 1:
+                v ^= int(gen.columns[c, b])
+        row.append(v * 2.0**-52)
+    return row
+
+
+def lattice_oracle(gen, i):
+    """Node i from its definition, (rev(i) g mod 2^m) / 2^m, plus the shift mod 1."""
+    m = gen.m_max
+    row = []
+    for c in range(gen.dimension):
+        node = (rev_bits(i, m) * int(gen.generating_vector[c]) % (1 << m)) * 2.0**-m
+        x = node + gen.shift[c]
+        row.append(x - np.floor(x))
+    return row
+
+
+BLOCK_GENERATORS = {
+    "digital": (lambda: randomize_digital(default_digital_generator(5), 31), digital_oracle),
+    "lattice": (lambda: randomize_lattice(default_lattice_generator(5, m_max=22), 31), lattice_oracle),
+}
+
+
+class TestDoubledBlocks:
+    @pytest.mark.parametrize("family", sorted(BLOCK_GENERATORS))
+    @pytest.mark.parametrize("start", [1, 3, 1000, (1 << 20) - 3])
+    @pytest.mark.parametrize("count", [1, 5, 70])
+    def test_unaligned_ranges(self, family, start, count):
+        make, oracle = BLOCK_GENERATORS[family]
+        gen = make()
+        pts = gen.points(start, count).points
+        lo = start - start % 128
+        block = gen.points(lo, 256).points
+        assert np.array_equal(pts, block[start - lo : start - lo + count])
+        expect = np.array([oracle(gen, i) for i in range(start, start + count)])
+        assert np.array_equal(pts, expect)
+
+    @pytest.mark.parametrize("family", sorted(BLOCK_GENERATORS))
+    def test_batches_are_read_only(self, family):
+        gen = BLOCK_GENERATORS[family][0]()
+        for start, count in [(0, 64), (3, 70)]:
+            pts = gen.points(start, count).points
+            assert not pts.flags.writeable
+            with pytest.raises(ValueError):
+                pts[0, 0] = 0.5
+
+    def test_digital_points_stay_fortran_ordered(self):
+        gen = BLOCK_GENERATORS["digital"][0]()
+        for start, count in [(0, 1024), (1000, 70), (512, 512)]:
+            assert gen.points(start, count).points.flags.f_contiguous
+
+    def test_lattice_nodes_exact_beyond_53_bits(self):
+        # rev(i) * g needs up to 72 bits here; a float product loses ~1e-6
+        g = [1, 2**35 - 31, 12345678901]
+        pts = LatticeGenerator(g, m_max=36).points(2**20 - 8, 16).points
+        expect = [
+            [(rev_bits(i, 36) * gj % 2**36) / 2**36 for gj in g]
+            for i in range(2**20 - 8, 2**20 + 8)
+        ]
+        assert np.array_equal(pts, np.array(expect))
 
 
 def brute_star_discrepancy(points, grid=24):
