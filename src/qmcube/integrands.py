@@ -12,7 +12,9 @@ pass per batch.
 
 from __future__ import annotations
 
+import functools
 import logging
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -117,18 +119,9 @@ def genz_integrand(problem: MvnProblem) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _gauss_legendre_cache():
-    cache = {}
-
-    def rule(order: int):
-        if order not in cache:
-            cache[order] = np.polynomial.legendre.leggauss(order)
-        return cache[order]
-
-    return rule
-
-
-_gl_rule = _gauss_legendre_cache()
+@functools.cache
+def _gl_rule(order: int):
+    return np.polynomial.legendre.leggauss(order)
 
 
 def adaptive_gauss_legendre(func, lo: float, hi: float, tol: float = 1e-10,
@@ -322,9 +315,9 @@ def asian_payoffs(option: AsianOption):
     sees the batch first to the other one, through a one-slot hand-off
     keyed on the array's identity; a writeable array could change between
     the calls, so it is never shared.  The slot is one tuple, read and
-    replaced whole, so concurrent callers at worst compute it twice.  A
-    payoff used on its own holds its last batch's quantiles until its next
-    call.
+    replaced whole, so concurrent callers at worst compute it twice.  The
+    slot refers to the batch weakly and is emptied when the batch is freed,
+    so a payoff used on its own keeps no batch or quantiles alive.
     """
     d = option.monitors
     A = option.path_matrix()
@@ -336,20 +329,25 @@ def asian_payoffs(option: AsianOption):
     log_geo_weights = option.volatility * A.mean(axis=0)
     handoff = (None, None)
 
+    def forget(ref) -> None:
+        nonlocal handoff
+        if handoff[0] is ref:
+            handoff = (None, None)
+
     def normals(x: np.ndarray) -> np.ndarray:
         nonlocal handoff
         if x.shape[1] != d:
             raise ValueError(f"expected {d} coordinates, got {x.shape[1]}")
-        last_x, last_z = handoff
+        last_ref, last_z = handoff
         handoff = (None, None)
-        if last_x is x:
+        if last_ref is not None and last_ref() is x:
             return last_z
         nudged = np.count_nonzero(x == 0.0)
         if nudged:
             log.debug("nudged %d zero coordinates to 2^-53 before the quantile", nudged)
         z = norm_inv_cdf(np.maximum(x, _TINY) if nudged else x)
         if not x.flags.writeable:
-            handoff = (x, z)
+            handoff = (weakref.ref(x, forget), z)
         return z
 
     def arithmetic(x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sequences import PRECISION, DigitalGenerator, LatticeGenerator, bit_reverse
+from .sequences import PRECISION, DigitalGenerator
 
 
 class TransformError(ValueError):
@@ -72,7 +72,9 @@ def lattice_dft(values: np.ndarray) -> np.ndarray:
     y = np.asarray(values, dtype=np.float64)
     n = y.shape[0]
     m = _check_pow2(n)
-    perm = bit_reverse(np.arange(n, dtype=np.uint64), m).astype(np.intp)
+    # Reversing the axes of the index array viewed as m binary digits
+    # reverses each index's bits.
+    perm = np.arange(n).reshape((2,) * m).T.ravel()
     return np.fft.fft(y[perm], axis=0) / n
 
 
@@ -252,14 +254,7 @@ def _walsh_digit_rep(k: int) -> int:
     """52-bit digit representation of a Walsh index (bit a -> digit a + 1)."""
     if k < 0 or k >= 1 << PRECISION:
         raise ValueError(f"Walsh index {k} out of range")
-    rep = 0
-    a = 0
-    while k:
-        if k & 1:
-            rep |= 1 << (PRECISION - 1 - a)
-        k >>= 1
-        a += 1
-    return rep
+    return int(format(k, f"0{PRECISION}b")[::-1], 2)
 
 
 def synthesize_integrand(generator, spectrum: Spectrum) -> Callable[[np.ndarray], np.ndarray]:

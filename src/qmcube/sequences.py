@@ -26,6 +26,9 @@ _SCALE = 2.0**-PRECISION
 _DEFAULT_DIRECTION_RESOURCE = "joe-kuo-6.1024.txt"
 _DEFAULT_LATTICE_RESOURCE = "lattice-m20.600.txt"
 _DEFAULT_LATTICE_M_MAX = 20
+# Weight of fractional digit r + 1, which is also column r of the identity
+# generator matrix (the plain radical inverse).
+_DIGITS = np.uint64(1) << np.arange(PRECISION - 1, -1, -1, dtype=np.uint64)
 
 
 class DirectionTableError(ValueError):
@@ -117,11 +120,6 @@ def _columns_from_row(a: int, m_init: list[int]) -> np.ndarray:
     return cols
 
 
-def _radical_inverse_columns() -> np.ndarray:
-    """Columns of the identity generator matrix (plain radical inverse)."""
-    return np.array([1 << (PRECISION - 1 - j) for j in range(PRECISION)], dtype=np.uint64)
-
-
 def _apply_scramble(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Left-multiply direction integers by a bit matrix given as row masks.
 
@@ -129,12 +127,7 @@ def _apply_scramble(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     digit r+1 is the parity of ``rows[r] & col``.
     """
     par = np.bitwise_count(rows[:, None] & cols[None, :]).astype(np.uint64) & np.uint64(1)
-    weights = np.array([1 << (PRECISION - 1 - r) for r in range(PRECISION)], dtype=np.uint64)
-    return (par * weights[:, None]).sum(axis=0, dtype=np.uint64)
-
-
-def _identity_scramble_rows() -> np.ndarray:
-    return np.array([1 << (PRECISION - 1 - r) for r in range(PRECISION)], dtype=np.uint64)
+    return (par * _DIGITS[:, None]).sum(axis=0, dtype=np.uint64)
 
 
 def _dyadic_blocks(start: int, count: int):
@@ -148,83 +141,65 @@ def _dyadic_blocks(start: int, count: int):
         count -= size
 
 
+def _doubled_points(start: int, count: int, steps: np.ndarray, base: np.ndarray, op) -> np.ndarray:
+    """Points with indices [start, start + count) as integers, shape (d, count).
+
+    Index i maps to ``base op steps[:, b]`` over the set bits b of i, where
+    ``op`` is the family's group operation on uint64.  Each aligned block
+    starts from its base point and doubles: the point with index
+    s + j + 2**b is the one with index s + j op column b, for j < 2**b.
+    """
+    out = np.empty((steps.shape[0], count), dtype=np.uint64)
+    for s, size in _dyadic_blocks(start, count):
+        block = out[:, s - start : s - start + size]
+        bits = [b for b in range(s.bit_length()) if s >> b & 1]
+        block[:, 0] = op(op.reduce(steps[:, bits], axis=1), base)
+        h = 1
+        while h < size:
+            op(block[:, :h], steps[:, h.bit_length() - 1, None], out=block[:, h : 2 * h])
+            h *= 2
+    return out
+
+
 class DigitalGenerator:
-    """Scrambled, digitally shifted base-2 digital sequence.
+    """Digitally shifted base-2 digital sequence.
 
     Parameters
     ----------
-    base_columns : (d, 52) uint64 array
-        Direction integers per coordinate; column j corresponds to input
-        index bit j, with the first fractional digit in bit 51.
-    scramble_rows : (d, 52) uint64 array, optional
-        Row masks of the lower-triangular scramble matrix per coordinate
-        (unit diagonal).  Defaults to the identity.
+    columns : (d, 52) uint64 array
+        Generator-matrix columns per coordinate, scrambled or not; column j
+        corresponds to input index bit j, with the first fractional digit
+        in bit 51.
     shift : (d,) uint64 array, optional
         Digital shift per coordinate, 52 fractional bits.  Defaults to 0.
     """
 
     family = "digital"
+    max_level = PRECISION
 
-    def __init__(self, base_columns, scramble_rows=None, shift=None):
-        self.base_columns = np.asarray(base_columns, dtype=np.uint64)
-        d = self.base_columns.shape[0]
-        if scramble_rows is None:
-            scramble_rows = np.tile(_identity_scramble_rows(), (d, 1))
-            self.columns = self.base_columns
-        else:
-            scramble_rows = np.asarray(scramble_rows, dtype=np.uint64)
-            self.columns = np.stack(
-                [_apply_scramble(scramble_rows[c], self.base_columns[c]) for c in range(d)]
-            )
-        self.scramble_rows = scramble_rows
+    def __init__(self, columns, shift=None):
+        self.columns = np.asarray(columns, dtype=np.uint64)
+        d = self.columns.shape[0]
         self.shift = (
             np.zeros(d, dtype=np.uint64) if shift is None else np.asarray(shift, dtype=np.uint64)
         )
-        self.max_level = PRECISION
 
     @property
     def dimension(self) -> int:
-        return self.base_columns.shape[0]
+        return self.columns.shape[0]
 
-    def point_integers(self, start: int, count: int, dim: int | None = None) -> np.ndarray:
-        """Shifted, scrambled points as 52-bit integers, shape (count, dim).
-
-        Each aligned block starts from its base point and doubles:
-        the point with index s + j + 2**b is the one with index s + j
-        XOR column b, for j < 2**b.
-        """
-        dim = self.dimension if dim is None else dim
-        if dim > self.dimension:
-            raise DirectionTableError(
-                f"requested dimension {dim} exceeds table capacity {self.dimension}"
-            )
+    def point_integers(self, start: int, count: int) -> np.ndarray:
+        """Shifted points as 52-bit integers, shape (count, d): index i is
+        the shift XOR the columns of i's set bits."""
         if start < 0 or count < 0 or start + count > 1 << PRECISION:
             raise IndexRangeError(f"index range [{start}, {start + count}) out of bounds")
-        cols = self.columns[:dim]
-        out = np.empty((dim, count), dtype=np.uint64)
-        for s, size in _dyadic_blocks(start, count):
-            block = out[:, s - start : s - start + size]
-            bits = [b for b in range(s.bit_length()) if s >> b & 1]
-            block[:, 0] = np.bitwise_xor.reduce(cols[:, bits], axis=1) ^ self.shift[:dim]
-            h = 1
-            while h < size:
-                np.bitwise_xor(block[:, :h], cols[:, h.bit_length() - 1, None], out=block[:, h : 2 * h])
-                h *= 2
-        return out.T
+        return _doubled_points(start, count, self.columns, self.shift, np.bitwise_xor).T
 
-    def points(self, start: int, count: int, dim: int | None = None) -> PointBatch:
-        """Generate points x_i = scramble(z_i) xor shift in natural order."""
-        points = self.point_integers(start, count, dim).astype(np.float64)
+    def points(self, start: int, count: int) -> PointBatch:
+        """Generate points x_i = C z_i xor shift in natural order."""
+        points = self.point_integers(start, count).astype(np.float64)
         points *= _SCALE
         return PointBatch(start=start, points=points)
-
-
-def bit_reverse(idx: np.ndarray, bits: int) -> np.ndarray:
-    """Reverse the low ``bits`` bits of each uint64 index."""
-    rev = np.zeros_like(idx)
-    for b in range(bits):
-        rev |= ((idx >> np.uint64(b)) & np.uint64(1)) << np.uint64(bits - 1 - b)
-    return rev
 
 
 class LatticeGenerator:
@@ -253,35 +228,25 @@ class LatticeGenerator:
     def dimension(self) -> int:
         return self.generating_vector.size
 
-    def points(self, start: int, count: int, dim: int | None = None) -> PointBatch:
-        dim = self.dimension if dim is None else dim
-        if dim > self.dimension:
-            raise LatticeVectorError(
-                f"requested dimension {dim} exceeds vector length {self.dimension}"
-            )
+    def points(self, start: int, count: int) -> PointBatch:
         if start < 0 or count < 0 or start + count > 1 << self.m_max:
             raise IndexRangeError(
                 f"index range [{start}, {start + count}) exceeds modulus 2^{self.m_max}"
             )
-        # Node integers rev(i) * g mod 2**m_max; rev(s + j + 2**b) is rev(s + j)
-        # plus 2**(m_max-1-b) for j < 2**b, so each aligned block doubles by
-        # one addition.  uint64 arithmetic wraps mod 2**64, a multiple of the
-        # modulus, so one mask at the end reduces every node exactly.
+        # Node integer i is rev(i) * g mod 2**m_max, the sum of
+        # g * 2**(m_max-1-b) over the set bits b of i.  uint64 arithmetic
+        # wraps mod 2**64, a multiple of the modulus, so one mask at the end
+        # reduces every node exactly.
         m = self.m_max
-        g = self.generating_vector[:dim].astype(np.uint64)
-        nodes = np.empty((count, dim), dtype=np.uint64)
-        for s, size in _dyadic_blocks(start, count):
-            block = nodes[s - start : s - start + size]
-            block[0] = g * bit_reverse(np.array([s], dtype=np.uint64), m)[0]
-            h = 1
-            while h < size:
-                np.add(block[:h], g << np.uint64(m - h.bit_length()), out=block[h : 2 * h])
-                h *= 2
+        steps = self.generating_vector.astype(np.uint64)[:, None] << np.arange(
+            m - 1, -1, -1, dtype=np.uint64
+        )
+        nodes = _doubled_points(start, count, steps, np.zeros(self.dimension, np.uint64), np.add).T
         nodes &= np.uint64((1 << m) - 1)
         # Exact in binary64 (m_max <= 40); the shift is added last, mod 1.
         coords = nodes.astype(np.float64)
         coords *= 2.0**-m
-        coords += self.shift[:dim]
+        coords += self.shift
         coords -= np.floor(coords)
         return PointBatch(start=start, points=coords)
 
@@ -305,7 +270,7 @@ def load_direction_numbers(text: str, dimension: int | None = None) -> DigitalGe
             f"requested dimension {dimension} exceeds table capacity {capacity}"
         )
     cols = np.zeros((dimension, PRECISION), dtype=np.uint64)
-    cols[0] = _radical_inverse_columns()
+    cols[0] = _DIGITS
     for c in range(1, dimension):
         _, (a, m_init) = rows[c - 1]
         cols[c] = _columns_from_row(a, m_init)
@@ -351,18 +316,20 @@ def randomize_digital(template: DigitalGenerator, seed) -> DigitalGenerator:
 
     Scramble matrices are lower triangular with unit diagonal, so the
     scrambled points remain a digital net; the same seed reproduces the
-    generator bit for bit (PCG64 stream).
+    generator bit for bit (PCG64 stream).  The scramble acts on
+    ``template.columns``: a template that is itself scrambled gets a
+    second scramble on top of its own.
     """
     rng = np.random.default_rng(seed)
     d = template.dimension
-    rows = np.zeros((d, PRECISION), dtype=np.uint64)
-    for c in range(d):
-        raw = rng.integers(0, 1 << PRECISION, size=PRECISION, dtype=np.int64).astype(np.uint64)
-        for r in range(1, PRECISION + 1):
-            sub = (raw[r - 1] & np.uint64((1 << (r - 1)) - 1)) << np.uint64(PRECISION + 1 - r)
-            rows[c, r - 1] = sub | np.uint64(1 << (PRECISION - r))
+    raw = rng.integers(0, 1 << PRECISION, size=(d, PRECISION), dtype=np.int64).astype(np.uint64)
+    # Row r (digit r + 1) keeps the low r bits of its draw as its entries
+    # left of the unit diagonal.
+    low = raw & (_DIGITS[::-1] - np.uint64(1))
+    rows = (low << np.arange(PRECISION, 0, -1, dtype=np.uint64)) | _DIGITS
     shift = rng.integers(0, 1 << PRECISION, size=d, dtype=np.int64).astype(np.uint64)
-    return DigitalGenerator(template.base_columns, scramble_rows=rows, shift=shift)
+    columns = np.stack([_apply_scramble(rows[c], template.columns[c]) for c in range(d)])
+    return DigitalGenerator(columns, shift)
 
 
 def randomize_lattice(template: LatticeGenerator, seed) -> LatticeGenerator:

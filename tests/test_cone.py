@@ -15,7 +15,7 @@ def shift_only_digital(dimension, seed):
     template = default_digital_generator(dimension)
     rng = np.random.default_rng(seed)
     shift = rng.integers(0, 1 << 52, size=dimension, dtype=np.int64).astype(np.uint64)
-    return DigitalGenerator(template.base_columns, shift=shift)
+    return DigitalGenerator(template.columns, shift)
 
 
 class TestConeParams:

@@ -1,6 +1,7 @@
 """Normal kernels, Genz transform, Bratley indices, Asian payoffs."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -293,6 +294,14 @@ class TestAsianOption:
         assert np.array_equal(a_shared, arith_alone(batch.copy()))
         np.testing.assert_allclose(g_shared, geo_alone(batch.copy()), rtol=1e-12, atol=0)
         assert len(quantile_calls) == 3
+
+    def test_lone_payoff_keeps_no_batch_alive(self):
+        arith, _, _ = asian_payoffs(AsianOption())
+        batch = q.make_generator("digital", 52, 5).points(0, 1 << 10)
+        points = weakref.ref(batch.points)
+        arith(batch.points)
+        del batch
+        assert points() is None
 
     def test_writeable_points_are_never_shared(self):
         arith, geo, _ = asian_payoffs(AsianOption())

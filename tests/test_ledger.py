@@ -88,8 +88,8 @@ class TestLatticeDft:
 
     def test_matches_direct_definition(self):
         rng = np.random.default_rng(7)
-        for n in (4, 32, 256):
-            v = rng.standard_normal(n)
+        for shape in [(1,), (2,), (4,), (32,), (256,), (64, 3)]:
+            v = rng.standard_normal(shape)
             assert np.abs(lattice_dft(v) - lattice_dft_direct(v)).max() < 1e-12
 
     def test_pure_wave_lands_in_residue_bin(self):
@@ -262,7 +262,7 @@ class TestAliasing:
         for lam in (0, 1, 3, 7):
             spectrum = [((kappa + (lam << m),), 0.6)]
             # shift-only digital generator keeps the index map transparent
-            shifted = type(gen_plain)(gen_plain.base_columns, shift=np.array([123456789], dtype=np.uint64))
+            shifted = type(gen_plain)(gen_plain.columns, np.array([123456789], dtype=np.uint64))
             led = build_ledger(synthesize_integrand(shifted, spectrum), shifted, m)
             assert abs(led.magnitudes[kappa, 0] - 0.6) < 1e-12
 

@@ -82,11 +82,31 @@ class TestDigitalRandomization:
         b = randomize_digital(t, 99).points(0, 512).points
         assert np.array_equal(a, b)
 
-    def test_scramble_diagonal_all_ones(self):
-        gen = randomize_digital(default_digital_generator(3), 5)
-        for c in range(3):
-            for r in range(1, 53):
-                assert gen.scramble_rows[c, r - 1] & np.uint64(1 << (52 - r))
+    def test_scrambled_coordinates_are_stratified(self):
+        # The unit scramble diagonal keeps every leading m x m block of the
+        # generator matrix invertible: the first 2**m points of each
+        # coordinate hit every dyadic interval of width 2**-m exactly once.
+        gen = randomize_digital(default_digital_generator(5), 5)
+        for m in range(1, 13):
+            cells = np.floor(gen.points(0, 1 << m).points * (1 << m)).astype(np.int64)
+            for c in range(gen.dimension):
+                assert np.array_equal(np.sort(cells[:, c]), np.arange(1 << m))
+
+    def test_scramble_stream_is_pinned(self):
+        # A seed must keep giving the same points, so the order in which the
+        # scramble draws the PCG64 stream must not change.
+        expect = [
+            [1498264095737195, 1793673662162789, 913833291657886],
+            [4318721497456783, 3688390003431447, 3771527014774337],
+            [826760600818077, 2759132725445291, 3280289986293976],
+            [2509756831151225, 713233601560025, 1687095033132039],
+            [2110187029217324, 4453617454058477, 2207271466489282],
+            [3793621329438152, 1292263734637727, 2690019704475933],
+            [213798314087642, 71150609919523, 4309845271500676],
+            [3033559880773950, 3102212135784785, 306520662446939],
+        ]
+        ints = make_generator("digital", 3, 7).point_integers(0, 8)
+        assert np.array_equal(ints, np.array(expect, dtype=np.uint64))
 
     def test_scrambled_mean_near_half(self):
         for m, d in [(10, 2), (14, 4), (16, 3)]:
@@ -221,8 +241,9 @@ class TestDoubledBlocks:
             with pytest.raises(ValueError):
                 pts[0, 0] = 0.5
 
-    def test_digital_points_stay_fortran_ordered(self):
-        gen = BLOCK_GENERATORS["digital"][0]()
+    @pytest.mark.parametrize("family", sorted(BLOCK_GENERATORS))
+    def test_points_stay_fortran_ordered(self, family):
+        gen = BLOCK_GENERATORS[family][0]()
         for start, count in [(0, 1024), (1000, 70), (512, 512)]:
             assert gen.points(start, count).points.flags.f_contiguous
 
