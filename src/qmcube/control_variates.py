@@ -141,9 +141,7 @@ def cv_integrate(
     h_ledger = None
     for m in range(cone.min_level, top_level + 1):
         lo = 0 if m == cone.min_level else 1 << (m - 1)
-        batch = gen.points(lo, (1 << m) - lo)
-        f_new = _evaluate(f, batch)
-        g_new = _evaluate(spec.controls, batch)
+        f_new, g_new = _evaluate((f, spec.controls), gen, lo, (1 << m) - lo)
         if g_new.shape[1] != spec.count:
             raise ValueError(
                 f"controls returned {g_new.shape[1]} outputs, expected {spec.count}"

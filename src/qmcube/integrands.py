@@ -4,10 +4,12 @@ normal-distribution kernels they need.
 
 All integrands are pure functions mapping an (n, d) array of points in
 [0,1)^d to an (n,) or (n, p) array of values; they are safe to evaluate
-concurrently in batches.  The generators hand out read-only point
-batches; the two Asian payoffs from one :func:`asian_payoffs` call share
-the normal quantiles of such a batch, so the pair pays for one quantile
-pass per batch.
+concurrently in batches.  The engine calls integrands and controls on
+consecutive blocks of at most 2**18 / d points, so an integrand's value
+at a point must not depend on the other rows of its batch.  The
+generators hand out read-only point batches; the two Asian payoffs from
+one :func:`asian_payoffs` call share the normal quantiles of such a
+batch, so the pair pays for one quantile pass per block.
 """
 
 from __future__ import annotations

@@ -100,21 +100,29 @@ def magnitude_map(magnitudes: np.ndarray) -> np.ndarray:
     the permutation consistent with the aliasing tree (truncating the top
     bit of the index still reproduces the coarser level's structure).
     Index 0 (the mean) never moves.  Deterministic given the magnitudes.
+
+    The decisions at pair level l read only the first 2**(l+1) entries of
+    the map, so each level keeps the winners' magnitudes for the next and
+    records its swap mask; the map is then built by doubling, in O(n).
     """
     mags = np.asarray(magnitudes)
     n = mags.shape[0]
     m = _check_pow2(n)
-    kmap = np.arange(n)
+    flips = [None] * m
+    best = mags
     for l in range(m - 1, 0, -1):
-        nl = 1 << l
-        kappa = np.arange(1, nl)
-        flip = kappa[mags[kmap[kappa + nl]] > mags[kmap[kappa]]]
-        if flip.size:
-            offsets = np.arange(0, n, 2 * nl)
-            fa = (flip[None, :] + offsets[:, None]).ravel()
-            high = kmap[fa + nl].copy()
-            kmap[fa + nl] = kmap[fa]
-            kmap[fa] = high
+        lo, hi = best[: 1 << l], best[1 << l : 2 << l]
+        flips[l] = hi > lo
+        flips[l][0] = False
+        best = np.where(flips[l], hi, lo)
+    # Bit j of kmap[kappa] is bit j of kappa, toggled when level j swaps
+    # the pair holding the entry's low j bits.
+    kmap = np.arange(n)  # entries 0 and 1 are final; the loop rewrites the rest
+    for j in range(1, m):
+        h = 1 << j
+        bit = flips[j][kmap[:h]] << j
+        kmap[h : 2 * h] = kmap[:h] | (h - bit)
+        kmap[:h] |= bit
     return kmap
 
 
@@ -202,19 +210,50 @@ class CoefficientLedger:
                 fh.write(f"{kappa},{self.magnitudes[kappa, coordinate]!r}\n")
 
 
-def _evaluate(f, batch) -> np.ndarray:
-    vals = np.asarray(f(batch.points), dtype=np.float64)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.shape[0] != batch.count:
-        raise ValueError(
-            f"integrand returned {vals.shape[0]} values for {batch.count} points"
-        )
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        where = int(np.nonzero(bad.any(axis=1))[0][0])
-        raise EvaluationError(batch.start + where, vals[where])
-    return vals
+# Coordinates per evaluation block: 2**18 float64 values, 2 MiB.
+_BLOCK_COORDINATES = 1 << 18
+
+
+def _block_rows(dimension: int) -> int:
+    """Largest power of two with at most _BLOCK_COORDINATES coordinates per block."""
+    return 1 << max((_BLOCK_COORDINATES // dimension).bit_length() - 1, 0)
+
+
+def _evaluate(fns, generator, start: int, count: int) -> list[np.ndarray]:
+    """Values of each function in ``fns`` at points [start, start + count).
+
+    The range is covered in blocks of :func:`_block_rows` points.  Every
+    function sees the same point batch per block, and its values go into
+    one (count, p) array, so memory grows with count * p, not with
+    count * d.  Integrands are row-wise, so blocking leaves the values
+    unchanged.  A non-finite value raises :class:`EvaluationError` with
+    its global point index.
+    """
+    out: list[np.ndarray | None] = [None] * len(fns)
+    rows = _block_rows(generator.dimension)
+    for lo in range(0, count, rows):
+        batch = generator.points(start + lo, min(rows, count - lo))
+        for k, f in enumerate(fns):
+            vals = np.asarray(f(batch.points), dtype=np.float64)
+            if vals.ndim == 1:
+                vals = vals[:, None]
+            if vals.shape[0] != batch.count:
+                raise ValueError(
+                    f"integrand returned {vals.shape[0]} values for {batch.count} points"
+                )
+            if out[k] is None:
+                out[k] = np.empty((count, vals.shape[1]))
+            elif vals.shape[1] != out[k].shape[1]:
+                raise ValueError(
+                    f"integrand returned {vals.shape[1]} outputs at point index "
+                    f"{batch.start}, after {out[k].shape[1]} before it"
+                )
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                where = int(np.nonzero(bad.any(axis=1))[0][0])
+                raise EvaluationError(batch.start + where, vals[where])
+            out[k][lo : lo + batch.count] = vals
+    return out
 
 
 def build_ledger(
@@ -232,9 +271,9 @@ def build_ledger(
     if m < 1:
         raise ValueError("level m must be at least 1")
     if previous is None:
-        values = _evaluate(f, generator.points(0, 1 << m))
+        (values,) = _evaluate((f,), generator, 0, 1 << m)
     else:
-        fresh = _evaluate(f, generator.points(1 << (m - 1), 1 << (m - 1)))
+        (fresh,) = _evaluate((f,), generator, 1 << (m - 1), 1 << (m - 1))
         values = np.concatenate([previous.values, fresh], axis=0)
     return CoefficientLedger(generator, m, values, previous)
 

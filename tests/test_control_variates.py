@@ -11,7 +11,7 @@ from qmcube.control_variates import (
     beta_qmc,
     cv_integrate,
 )
-from qmcube.ledger import CoefficientLedger, build_ledger, fwht
+from qmcube.ledger import CoefficientLedger, EvaluationError, build_ledger, fwht
 from qmcube.sequences import make_generator
 
 
@@ -170,6 +170,29 @@ class TestCvIntegrate:
         expect = error_bound(fresh, ConeParams())
         assert np.array_equal(out.result.estimate.mu, expect.mu)
         assert np.array_equal(out.result.estimate.err, expect.err)
+
+    def test_controls_share_the_integrand_blocks(self):
+        # d = 52 gives blocks of 4096 points: each control call gets the
+        # batch the integrand has just seen, and a NaN in a later block of
+        # a level reports its global index
+        gen = make_generator("digital", 52, 4)
+        target = gen.points(12293, 1).points[0]
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x[:, 0]
+
+        def g(x):
+            assert x is seen[-1]
+            out = x[:, 1:2].copy()
+            out[np.all(x == target, axis=1)] = np.nan
+            return out
+
+        spec = ControlVariateSpec(controls=g, means=[0.5])
+        with pytest.raises(EvaluationError, match="index 12293"):
+            cv_integrate(f, 52, spec, q.Tolerance(1e-12), generator=gen)
+        assert [x.shape[0] for x in seen] == [1024, 1024, 2048, 4096, 4096, 4096]
 
     def test_capacity_exhausted_and_too_little_capacity(self):
         f = lambda x: x[:, 0] ** 2

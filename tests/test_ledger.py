@@ -1,12 +1,16 @@
 """Transform oracles, ledger construction, tier sums and aliasing identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qmcube.integrands import AsianOption, SobolIndexProblem, asian_payoffs, bratley_g
 from qmcube.ledger import (
     CoefficientLedger,
     EvaluationError,
     TransformError,
+    _block_rows,
     aliasing_check,
     build_ledger,
     fwht,
@@ -45,6 +49,28 @@ def lattice_dft_direct(values: np.ndarray) -> np.ndarray:
     perm = [int(format(i, f"0{m}b")[::-1], 2) for i in range(n)]
     k = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(k, k) / n) @ y[perm] / n
+
+
+def magnitude_map_tournament(magnitudes: np.ndarray) -> np.ndarray:
+    """Reference :func:`magnitude_map`: the tournament applied to the whole map.
+
+    At each pair level l = m-1 .. 1 every flipped pair (kappa, kappa + 2**l)
+    is swapped together with all its translates by multiples of 2**(l+1).
+    """
+    mags = np.asarray(magnitudes)
+    n = mags.shape[0]
+    kmap = np.arange(n)
+    for l in range(n.bit_length() - 2, 0, -1):
+        nl = 1 << l
+        kappa = np.arange(1, nl)
+        flip = kappa[mags[kmap[kappa + nl]] > mags[kmap[kappa]]]
+        if flip.size:
+            offsets = np.arange(0, n, 2 * nl)
+            fa = (flip[None, :] + offsets[:, None]).ravel()
+            high = kmap[fa + nl].copy()
+            kmap[fa + nl] = kmap[fa]
+            kmap[fa] = high
+    return kmap
 
 
 class TestFwht:
@@ -132,6 +158,17 @@ class TestTierSums:
             for kappa in range(1, nl):
                 assert mags[kmap[kappa]] >= mags[kmap[kappa + nl]]
 
+    @pytest.mark.parametrize("m", range(15))
+    def test_magnitude_map_matches_tournament(self, m):
+        rng = np.random.default_rng(100 + m)
+        n = 1 << m
+        spread = np.abs(rng.standard_normal(n))
+        tied = rng.integers(0, 3, n).astype(np.float64)
+        for mags in (spread, tied, np.zeros(n)):
+            kmap = magnitude_map(mags)
+            assert kmap.dtype == np.arange(1).dtype
+            assert np.array_equal(kmap, magnitude_map_tournament(mags))
+
 
 class TestLedger:
     def test_constant_integrand(self):
@@ -214,6 +251,82 @@ class TestLedger:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "kappa,magnitude"
         assert len(lines) == 65
+
+
+class TestBlockedEvaluation:
+    """Levels are evaluated in blocks of at most 2**18 coordinates."""
+
+    @staticmethod
+    def nan_at(gen, index: int):
+        """Integrand that is NaN only at the point with this global index."""
+        target = gen.points(index, 1).points[0]
+
+        def f(x):
+            out = x.sum(axis=1)
+            out[np.all(x == target, axis=1)] = np.nan
+            return out
+
+        return f
+
+    def test_block_rows(self):
+        assert [_block_rows(d) for d in (1, 7, 12, 52)] == [1 << 18, 32768, 16384, 4096]
+        assert _block_rows((1 << 18) + 1) == 1
+
+    def test_nan_in_later_block_reports_global_index(self):
+        gen = make_generator("digital", 52, 3)
+        assert _block_rows(52) == 4096
+        with pytest.raises(EvaluationError, match="index 4101") as info:
+            build_ledger(self.nan_at(gen, 4101), gen, 14)
+        assert info.value.index == 4101
+        f = self.nan_at(gen, 8192 + 4101)
+        led = build_ledger(f, gen, 13)
+        with pytest.raises(EvaluationError, match="index 12293") as info:
+            build_ledger(f, gen, 14, led)
+        assert info.value.index == 12293
+
+    def test_output_count_change_between_blocks_raises(self):
+        gen = make_generator("digital", 52, 3)
+        calls = []
+
+        def f(x):
+            calls.append(x.shape[0])
+            return np.ones((x.shape[0], 1 if len(calls) == 1 else 2))
+
+        with pytest.raises(ValueError, match="outputs"):
+            build_ledger(f, gen, 13)
+        assert calls == [4096, 4096]
+
+    def test_asian_arithmetic_values_equal_one_batch(self):
+        gen = make_generator("digital", 52, 5)
+        arithmetic, _, _ = asian_payoffs(AsianOption())
+        m = 14  # four blocks of 4096 points
+        whole = arithmetic(gen.points(0, 1 << m).points)
+        led = build_ledger(arithmetic, gen, m)
+        assert np.array_equal(led.values[:, 0], whole)
+        led = build_ledger(arithmetic, gen, m, build_ledger(arithmetic, gen, m - 1))
+        assert np.array_equal(led.values[:, 0], whole)
+
+    def test_sobol_index_values_equal_one_batch(self):
+        gen = make_generator("digital", 12, 1)
+        f = SobolIndexProblem(bratley_g, 1, 6).integrand()
+        m = 16  # four blocks of 16384 points
+        led = build_ledger(f, gen, m)
+        assert led.values.shape == (1 << m, 3)
+        assert np.array_equal(led.values, f(gen.points(0, 1 << m).points))
+
+    def test_level_memory_grows_with_outputs_not_dimension(self):
+        # A whole-batch level holds the 32768 x 52 points, their normals
+        # and the paths at once (about 40 MB); blocks hold 4096 rows of each.
+        gen = make_generator("digital", 52, 1)
+        arithmetic, _, _ = asian_payoffs(AsianOption())
+        previous = build_ledger(arithmetic, gen, 15)
+        tracemalloc.start()
+        try:
+            build_ledger(arithmetic, gen, 16, previous)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestAliasing:
