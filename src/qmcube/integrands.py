@@ -98,24 +98,39 @@ def genz_integrand(problem: MvnProblem) -> Callable[[np.ndarray], np.ndarray]:
     d = problem.dimension
     L = problem.cholesky
     a, b = problem.lower, problem.upper
+    finite_a, finite_b = np.isfinite(a), np.isfinite(b)
 
-    def limits(i: int, partial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hi = norm_cdf((b[i] - partial) / L[i, i]) if np.isfinite(b[i]) else np.ones_like(partial)
-        lo = norm_cdf((a[i] - partial) / L[i, i]) if np.isfinite(a[i]) else np.zeros_like(partial)
-        return lo, hi
+    def cdf(i: int, limit: float, partial: np.ndarray) -> np.ndarray:
+        # norm_cdf((limit - partial) / L[i, i]) in place on one fresh
+        # array; -x / sqrt(2) == x / -sqrt(2) exactly
+        z = limit - partial
+        z /= L[i, i]
+        z /= -_SQRT2
+        erfc(z, out=z)
+        z *= 0.5
+        return z
 
     def f(x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
-        zero = np.zeros(n)
-        lo, hi = limits(0, zero)
-        value = hi - lo
-        y = np.zeros((n, d - 1)) if d > 1 else None
+        # The first row conditions on nothing, so its limits are scalars;
+        # infinite limits are the scalars 0 and 1 on every row.
+        lo = norm_cdf(a[0] / L[0, 0]) if finite_a[0] else 0.0
+        hi = norm_cdf(b[0] / L[0, 0]) if finite_b[0] else 1.0
+        width = hi - lo
+        value = np.full(n, width)
+        # C order: the bits of y[:, :i] @ L[i, :i] depend on y's layout.
+        y = np.empty((n, d - 1))
         for i in range(1, d):
-            arg = lo + x[:, i - 1] * (hi - lo)
-            y[:, i - 1] = norm_inv_cdf(np.clip(arg, _TINY, _ONE_BELOW))
+            arg = x[:, i - 1] * width
+            if finite_a[i - 1]:
+                arg += lo
+            np.clip(arg, _TINY, _ONE_BELOW, out=arg)
+            y[:, i - 1] = norm_inv_cdf(arg)
             partial = y[:, :i] @ L[i, :i]
-            lo, hi = limits(i, partial)
-            value = value * (hi - lo)
+            lo = cdf(i, a[i], partial) if finite_a[i] else 0.0
+            hi = cdf(i, b[i], partial) if finite_b[i] else 1.0
+            width = hi - lo
+            value *= width
         return value
 
     return f
@@ -230,19 +245,24 @@ def sobol_index_bounds(mu: np.ndarray, err: np.ndarray) -> tuple[float, float]:
 
     Piecewise form: the index is pinned to 0 when the numerator interval
     is nonpositive, to 1 when the numerator interval exceeds the smallest
-    admissible denominator, and is the endpoint ratio otherwise.
+    admissible denominator, and is the endpoint ratio otherwise.  The
+    denominator subtracts the squared mean, whose extremes over
+    [mu_3 - err_3, mu_3 + err_3] are the larger endpoint square and the
+    smaller one, or 0 when the interval contains 0.
     """
+    squares = ((mu[2] - err[2]) ** 2, (mu[2] + err[2]) ** 2)
+    square_min = 0.0 if abs(mu[2]) <= err[2] else min(squares)
 
-    def one_side(sign: float) -> float:
+    def one_side(sign: float, square: float) -> float:
         num = mu[0] + sign * err[0]
         if num <= 0.0:
             return 0.0
-        den = mu[1] - sign * err[1] - (mu[2] + sign * err[2]) ** 2
+        den = mu[1] - sign * err[1] - square
         if num > max(0.0, den):
             return 1.0
         return float(num / den)
 
-    v_minus, v_plus = one_side(-1.0), one_side(+1.0)
+    v_minus, v_plus = one_side(-1.0, square_min), one_side(+1.0, max(squares))
     return min(v_minus, v_plus), max(v_minus, v_plus)
 
 

@@ -1,8 +1,9 @@
 """Discrete Fourier coefficients of sampled data and their dyadic tier sums.
 
 For digital sequences the transform is the normalized fast Walsh-Hadamard
-transform in natural ordering; for lattice node sequences it is the FFT of
-the data brought back from van der Corput order to natural node order.  In
+transform in natural ordering; for lattice node sequences it is the
+real-input FFT of the data brought back from van der Corput order to
+natural node order, returned as the full conjugate-symmetric spectrum.  In
 both cases bin 0 is the sample mean and bins kappa and kappa + 2**(m-1) at
 level m alias to bin kappa at level m-1, so tier sums over dyadic index
 ranges are comparable across levels.
@@ -41,23 +42,44 @@ def fwht(values: np.ndarray) -> np.ndarray:
     """Normalized Walsh-Hadamard transform, natural ordering.
 
     ``out[kappa] = 2**-m * sum_i values[i] * (-1)**popcount(i & kappa)``.
-    Accepts shape (n,) or (n, p); the transform acts on axis 0.
+    Accepts shape (n,) or (n, p); the transform acts on axis 0.  Each
+    butterfly stage works in place on one copy of the input, with one
+    buffer of n/2 rows for the differences.
     """
-    y = np.array(values, dtype=np.float64, copy=True)
+    # C order keeps every reshape below a view of y.
+    y = np.array(values, dtype=np.float64, order="C", copy=True)
     squeeze = y.ndim == 1
     if squeeze:
         y = y[:, None]
     n = y.shape[0]
     _check_pow2(n)
+    diff = np.empty((n // 2, y.shape[1]))
     h = 1
     while h < n:
-        y = y.reshape(n // (2 * h), 2, h, -1)
-        top = y[:, 0] + y[:, 1]
-        bot = y[:, 0] - y[:, 1]
-        y = np.stack([top, bot], axis=1)
+        pairs = y.reshape(n // (2 * h), 2, h, -1)
+        top, bot = pairs[:, 0], pairs[:, 1]
+        delta = diff.reshape(n // (2 * h), h, -1)
+        np.subtract(top, bot, out=delta)
+        top += bot
+        bot[...] = delta
         h *= 2
-    y = y.reshape(n, -1) / n
+    y /= n
     return y[:, 0] if squeeze else y
+
+
+def _bit_reversal(n: int) -> np.ndarray:
+    """Index i -> i with its log2(n) bits reversed, for a power of two n.
+
+    Reversed over m + 1 bits, i < 2**m maps to twice its m-bit reversal
+    and i + 2**m to one more, so the table is built by doubling in place.
+    """
+    perm = np.zeros(n, dtype=np.intp)
+    h = 1
+    while h < n:
+        perm[:h] <<= 1
+        np.add(perm[:h], 1, out=perm[h : 2 * h])
+        h *= 2
+    return perm
 
 
 def lattice_dft(values: np.ndarray) -> np.ndarray:
@@ -66,16 +88,19 @@ def lattice_dft(values: np.ndarray) -> np.ndarray:
     The values are permuted to natural node order (index i carries the node
     frac(phi2(i) * g), so natural order is the bit reversal of i) and the
     normalized DFT is applied; bin kappa then holds the common coefficient
-    of all wavenumbers k with k . g = kappa (mod 2**m).  Returns a complex
-    array; axis 0 is transformed.
+    of all wavenumbers k with k . g = kappa (mod 2**m).  The values are
+    real, so a real-input FFT gives bins 0 .. n/2 and bin n - kappa is
+    the conjugate of bin kappa.  Returns the full complex spectrum; axis 0
+    is transformed.
     """
     y = np.asarray(values, dtype=np.float64)
     n = y.shape[0]
-    m = _check_pow2(n)
-    # Reversing the axes of the index array viewed as m binary digits
-    # reverses each index's bits.
-    perm = np.arange(n).reshape((2,) * m).T.ravel()
-    return np.fft.fft(y[perm], axis=0) / n
+    _check_pow2(n)
+    out = np.empty(y.shape, dtype=np.complex128)
+    h = n // 2
+    np.fft.rfft(y[_bit_reversal(n)], axis=0, norm="forward", out=out[: h + 1])
+    np.conjugate(out[h - 1 : 0 : -1], out=out[h + 1 :])
+    return out
 
 
 def tier_sums(magnitudes: np.ndarray) -> np.ndarray:

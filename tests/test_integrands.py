@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmcube as q
 from qmcube.integrands import (
@@ -63,7 +65,64 @@ class TestNormalKernels:
         assert np.abs(slope - norm_pdf(x)).max() < 1e-8
 
 
+def genz_integrand_reference(problem: MvnProblem):
+    """Reference :func:`genz_integrand`: full-length limit arrays per row."""
+    d = problem.dimension
+    L = problem.cholesky
+    a, b = problem.lower, problem.upper
+
+    def limits(i, partial):
+        hi = norm_cdf((b[i] - partial) / L[i, i]) if np.isfinite(b[i]) else np.ones_like(partial)
+        lo = norm_cdf((a[i] - partial) / L[i, i]) if np.isfinite(a[i]) else np.zeros_like(partial)
+        return lo, hi
+
+    def f(x):
+        n = x.shape[0]
+        lo, hi = limits(0, np.zeros(n))
+        value = hi - lo
+        y = np.zeros((n, d - 1)) if d > 1 else None
+        for i in range(1, d):
+            arg = lo + x[:, i - 1] * (hi - lo)
+            y[:, i - 1] = norm_inv_cdf(np.clip(arg, 2.0**-53, np.nextafter(1.0, 0.0)))
+            partial = y[:, :i] @ L[i, :i]
+            lo, hi = limits(i, partial)
+            value = value * (hi - lo)
+        return value
+
+    return f
+
+
+def _mixed_limits_problem(d: int) -> MvnProblem:
+    rng = np.random.default_rng(40 + d)
+    A = rng.standard_normal((d, d))
+    lower = rng.uniform(-2.0, 0.0, d)
+    upper = lower + rng.uniform(0.2, 3.0, d)
+    lower[::3] = -np.inf
+    upper[1::3] = np.inf
+    return MvnProblem(lower, upper, A @ A.T + d * np.eye(d))
+
+
 class TestGenz:
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            equicorrelated_mvn(8, 0.5, np.ones(8)),
+            _mixed_limits_problem(8),
+            MvnProblem(lower=[0.5, -np.inf, -1.0, 0.0], upper=[np.inf, 0.3, 2.0, np.inf],
+                       covariance=np.eye(4) + 0.2),
+            MvnProblem(lower=[-1.0], upper=[0.5], covariance=[[2.0]]),
+            MvnProblem(lower=[-np.inf], upper=[np.inf], covariance=[[1.0]]),
+            equicorrelated_mvn(2, 0.3, [0.4, -0.7]),
+            _mixed_limits_problem(2),
+        ],
+        ids=["equicorrelated-8", "mixed-8", "mixed-4", "finite-1", "infinite-1",
+             "equicorrelated-2", "mixed-2"],
+    )
+    def test_matches_reference_bitwise(self, problem):
+        x = np.random.default_rng(problem.dimension).random((3000, max(problem.dimension - 1, 1)))
+        x[:5] = 0.0
+        assert np.array_equal(genz_integrand(problem)(x), genz_integrand_reference(problem)(x))
+
     def test_one_dimensional_reduction(self):
         prob = MvnProblem(lower=[-1.0], upper=[0.5], covariance=[[1.0]])
         f = genz_integrand(prob)
@@ -198,6 +257,37 @@ class TestSobolIndexFunctional:
             assert v_plus >= hi - 1e-9
             assert lo - v_minus <= 0.1
             assert v_plus - hi <= 0.1
+
+    def test_negative_mean_uses_smallest_square(self):
+        # Bratley's mean is -21/64; the lower bound needs the smallest m**2
+        mu, err = np.array([0.0358, 0.1626, -0.328]), np.array([1e-3, 1e-3, 0.05])
+        v_minus, _ = sobol_index_bounds(mu, err)
+        assert v_minus == pytest.approx(0.0348 / (0.1636 - 0.278**2), rel=1e-12)
+        assert sobol_index_bounds(mu, err) == sobol_index_bounds(mu * [1, 1, -1], err)
+
+    @given(
+        mu=st.tuples(st.floats(-0.5, 1.0), st.floats(0.0, 1.5), st.floats(-1.0, 1.0)),
+        err=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_are_brute_force_extremes(self, mu, err):
+        # The clipped index is nondecreasing in m1 and in m3**2 and
+        # nonincreasing in m2, so its extremes lie on a grid holding the
+        # box corners and m3 = 0 when the interval contains it.
+        v_minus, v_plus = sobol_index_bounds(np.array(mu), np.array(err))
+        m1 = np.linspace(mu[0] - err[0], mu[0] + err[0], 5)
+        m2 = np.linspace(mu[1] - err[1], mu[1] + err[1], 5)
+        m3 = np.linspace(mu[2] - err[2], mu[2] + err[2], 9)
+        if abs(mu[2]) <= err[2]:
+            m3 = np.append(m3, 0.0)
+        num = m1[:, None, None]
+        den = m2[None, :, None] - m3[None, None, :] ** 2
+        with np.errstate(all="ignore"):
+            index = np.where(num <= 0.0, 0.0,
+                             np.where(num > np.maximum(0.0, den), 1.0, num / den))
+        assert 0.0 <= v_minus <= v_plus <= 1.0
+        assert v_minus == pytest.approx(index.min(), abs=1e-9)
+        assert v_plus == pytest.approx(index.max(), abs=1e-9)
 
     def test_functional_value(self):
         f = sobol_index_functional()

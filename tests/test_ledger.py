@@ -10,6 +10,7 @@ from qmcube.ledger import (
     CoefficientLedger,
     EvaluationError,
     TransformError,
+    _bit_reversal,
     _block_rows,
     aliasing_check,
     build_ledger,
@@ -49,6 +50,33 @@ def lattice_dft_direct(values: np.ndarray) -> np.ndarray:
     perm = [int(format(i, f"0{m}b")[::-1], 2) for i in range(n)]
     k = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(k, k) / n) @ y[perm] / n
+
+
+def fwht_stacked(values: np.ndarray) -> np.ndarray:
+    """Reference :func:`fwht`: each butterfly stage stacks fresh arrays."""
+    y = np.array(values, dtype=np.float64, copy=True)
+    squeeze = y.ndim == 1
+    if squeeze:
+        y = y[:, None]
+    n = y.shape[0]
+    h = 1
+    while h < n:
+        y = y.reshape(n // (2 * h), 2, h, -1)
+        top = y[:, 0] + y[:, 1]
+        bot = y[:, 0] - y[:, 1]
+        y = np.stack([top, bot], axis=1)
+        h *= 2
+    y = y.reshape(n, -1) / n
+    return y[:, 0] if squeeze else y
+
+
+def lattice_dft_complex(values: np.ndarray) -> np.ndarray:
+    """Reference :func:`lattice_dft`: complex FFT of the permuted values."""
+    y = np.asarray(values, dtype=np.float64)
+    n = y.shape[0]
+    m = n.bit_length() - 1
+    perm = np.arange(n).reshape((2,) * m).T.ravel()
+    return np.fft.fft(y[perm], axis=0) / n
 
 
 def magnitude_map_tournament(magnitudes: np.ndarray) -> np.ndarray:
@@ -99,6 +127,16 @@ class TestFwht:
         with pytest.raises(TransformError):
             fwht(np.zeros(12))
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 11, 16])
+    def test_in_place_stages_match_stacked_bitwise(self, m):
+        rng = np.random.default_rng(200 + m)
+        n = 1 << m
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                  np.asfortranarray(rng.standard_normal((n, 3)))):
+            out = fwht(v)
+            assert np.array_equal(out, fwht_stacked(v))
+            assert out.flags.c_contiguous
+
 
 class TestLatticeDft:
     def test_constant(self):
@@ -117,6 +155,23 @@ class TestLatticeDft:
         for shape in [(1,), (2,), (4,), (32,), (256,), (64, 3)]:
             v = rng.standard_normal(shape)
             assert np.abs(lattice_dft(v) - lattice_dft_direct(v)).max() < 1e-12
+
+    def test_bit_reversal_matches_axis_transpose(self):
+        for m in range(18):
+            n = 1 << m
+            assert np.array_equal(_bit_reversal(n), np.arange(n).reshape((2,) * m).T.ravel())
+
+    @pytest.mark.parametrize("m", range(18))
+    def test_real_input_fft_matches_complex_fft(self, m):
+        rng = np.random.default_rng(300 + m)
+        n = 1 << m
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            out, ref = lattice_dft(v), lattice_dft_complex(v)
+            assert out.shape == ref.shape and out.dtype == np.complex128
+            assert np.array_equal(out[0], ref[0])
+            mags = np.abs(out)
+            assert np.array_equal(mags[1:], mags[1:][::-1])
+            assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_pure_wave_lands_in_residue_bin(self):
         # f = cos/sin pair at wavenumber k on an unshifted lattice puts unit
