@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .cone import ConeParams, IntervalEstimate, ViolationReport, error_bound, necessary_condition
-from .ledger import CoefficientLedger, build_ledger
+from .ledger import CoefficientLedger, _evaluate, build_ledger
 from .sequences import make_generator
 
 STATUS_TOLERANCE_MET = "tolerance-met"
@@ -278,6 +278,9 @@ def heuristic_baselines(
     All three report the average of R replicate means and claim
     ``inflation * std(replicate means)`` as an error bound.  None of
     them is guaranteed; see :func:`integrate` for the guaranteed path.
+    Points are evaluated in the same bounded blocks as :func:`integrate`,
+    so a non-finite value raises :class:`EvaluationError` with its point
+    index.
     """
     if repeats < 2:
         raise ValueError("at least two replicates are required")
@@ -285,18 +288,18 @@ def heuristic_baselines(
         means = np.empty(repeats)
         for rep in range(repeats):
             gen = make_generator(family, dimension, seed ^ rep if seed is not None else rep)
-            vals = f(gen.points(0, n).points)
-            means[rep] = float(np.mean(vals))
+            means[rep] = float(np.mean(_evaluate((f,), gen, 0, n)[0]))
     elif strategy == "internal-replications":
         gen = make_generator(family, dimension, seed)
-        vals = np.asarray(f(gen.points(0, n * repeats).points), dtype=float)
-        means = vals.reshape(repeats, n).mean(axis=1)
+        vals = _evaluate((f,), gen, 0, n * repeats)[0]
+        means = vals.reshape(repeats, -1).mean(axis=1)
     elif strategy == "quasi-standard-error":
         gen = make_generator(family, dimension * repeats, seed)
-        pts = gen.points(0, n).points
-        means = np.empty(repeats)
-        for rep in range(repeats):
-            means[rep] = float(np.mean(f(pts[:, rep * dimension : (rep + 1) * dimension])))
+        # replicate r reads coordinates [r d, (r + 1) d) of the d R-dimensional points
+        slices = [
+            lambda x, lo=rep * dimension: f(x[:, lo : lo + dimension]) for rep in range(repeats)
+        ]
+        means = np.array([float(np.mean(vals)) for vals in _evaluate(slices, gen, 0, n)])
     else:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {BASELINE_STRATEGIES}")
     spread = float(np.std(means, ddof=1))

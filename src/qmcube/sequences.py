@@ -28,7 +28,8 @@ _DEFAULT_LATTICE_RESOURCE = "lattice-m20.600.txt"
 _DEFAULT_LATTICE_M_MAX = 20
 # Weight of fractional digit r + 1, which is also column r of the identity
 # generator matrix (the plain radical inverse).
-_DIGITS = np.uint64(1) << np.arange(PRECISION - 1, -1, -1, dtype=np.uint64)
+_DIGIT_SHIFTS = np.arange(PRECISION - 1, -1, -1, dtype=np.uint64)
+_DIGITS = np.uint64(1) << _DIGIT_SHIFTS
 
 
 class DirectionTableError(ValueError):
@@ -70,9 +71,9 @@ class PointBatch:
         return self.points.shape[1]
 
 
-def _parse_direction_text(text: str) -> list[tuple[int, list[int]]]:
-    """Parse a Joe-Kuo style table into (dimension, initial m values) rows."""
-    rows: list[tuple[int, list[int]]] = []
+def _parse_direction_text(text: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Parse and validate a Joe-Kuo style table into (a, initial m values) rows."""
+    rows: list[tuple[int, tuple[int, ...]]] = []
     lines = text.splitlines()
     for lineno, line in enumerate(lines[1:], start=2):  # header line skipped
         if not line.strip():
@@ -98,36 +99,41 @@ def _parse_direction_text(text: str) -> list[tuple[int, list[int]]]:
                 raise DirectionTableError(
                     f"line {lineno}: initial value m_{k}={mk} must be odd and < 2^{k}"
                 )
-        rows.append((d, (a, m)))
-    return rows
+        rows.append((a, tuple(m)))
+    return tuple(rows)
 
 
-def _columns_from_row(a: int, m_init: list[int]) -> np.ndarray:
+def _columns_from_row(a: int, m_init: tuple[int, ...]) -> np.ndarray:
     """Expand one table row into 52 direction integers (column j = input bit j)."""
     s = len(m_init)
+    # recurrence: m_k = 2 a_1 m_{k-1} ^ ... ^ 2^{s-1} a_{s-1} m_{k-s+1}
+    #                   ^ 2^s m_{k-s} ^ m_{k-s}
+    taps = [i for i in range(1, s) if (a >> (s - 1 - i)) & 1]
     m = list(m_init)
     for k in range(s, PRECISION):
-        # recurrence: m_k = 2 a_1 m_{k-1} ^ ... ^ 2^{s-1} a_{s-1} m_{k-s+1}
-        #                   ^ 2^s m_{k-s} ^ m_{k-s}
         mk = m[k - s] ^ (m[k - s] << s)
-        for i in range(1, s):
-            if (a >> (s - 1 - i)) & 1:
-                mk ^= m[k - i] << i
+        for i in taps:
+            mk ^= m[k - i] << i
         m.append(mk)
-    cols = np.zeros(PRECISION, dtype=np.uint64)
-    for k in range(1, PRECISION + 1):
-        cols[k - 1] = np.uint64(m[k - 1] << (PRECISION - k))
-    return cols
+    # m_k has k bits; column k - 1 puts its leading bit at bit 51.
+    return np.array(m, dtype=np.uint64) << _DIGIT_SHIFTS
 
 
 def _apply_scramble(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Left-multiply direction integers by a bit matrix given as row masks.
+    """Left-multiply direction integers by bit matrices given as row masks.
 
-    ``rows[r]`` is the mask of row r+1 (digit r+1 of the output); output
-    digit r+1 is the parity of ``rows[r] & col``.
+    ``rows[c, r]`` is the mask of row r+1 (digit r+1 of the output) of
+    coordinate c's matrix; output digit r+1 of ``cols[c, j]`` is the
+    parity of ``rows[c, r] & cols[c, j]``.  One (d, 52) pass per digit
+    keeps the work space at the size of ``cols``.
     """
-    par = np.bitwise_count(rows[:, None] & cols[None, :]).astype(np.uint64) & np.uint64(1)
-    return (par * _DIGITS[:, None]).sum(axis=0, dtype=np.uint64)
+    out = np.zeros_like(cols)
+    for r, shift in enumerate(_DIGIT_SHIFTS):
+        digit = np.bitwise_count(rows[:, r, None] & cols).astype(np.uint64)
+        digit &= np.uint64(1)
+        digit <<= shift
+        out |= digit
+    return out
 
 
 def _dyadic_blocks(start: int, count: int):
@@ -179,10 +185,16 @@ class DigitalGenerator:
 
     def __init__(self, columns, shift=None):
         self.columns = np.asarray(columns, dtype=np.uint64)
+        if self.columns.ndim != 2 or self.columns.shape[0] < 1 or self.columns.shape[1] != PRECISION:
+            raise ValueError(
+                f"columns must have shape (d >= 1, {PRECISION}), got {self.columns.shape}"
+            )
         d = self.columns.shape[0]
         self.shift = (
             np.zeros(d, dtype=np.uint64) if shift is None else np.asarray(shift, dtype=np.uint64)
         )
+        if self.shift.shape != (d,):
+            raise ValueError(f"shift must have shape ({d},), got {self.shift.shape}")
 
     @property
     def dimension(self) -> int:
@@ -259,7 +271,11 @@ def load_direction_numbers(text: str, dimension: int | None = None) -> DigitalGe
     inverse and is implicit.  ``dimension`` selects how many coordinates to
     build (default: all listed).
     """
-    rows = _parse_direction_text(text)
+    return _generator_from_rows(_parse_direction_text(text), dimension)
+
+
+def _generator_from_rows(rows, dimension: int | None) -> DigitalGenerator:
+    """Generator from parsed table rows: the radical inverse, then one row per coordinate."""
     capacity = 1 + len(rows)
     if dimension is None:
         dimension = capacity
@@ -272,8 +288,7 @@ def load_direction_numbers(text: str, dimension: int | None = None) -> DigitalGe
     cols = np.zeros((dimension, PRECISION), dtype=np.uint64)
     cols[0] = _DIGITS
     for c in range(1, dimension):
-        _, (a, m_init) = rows[c - 1]
-        cols[c] = _columns_from_row(a, m_init)
+        cols[c] = _columns_from_row(*rows[c - 1])
     return DigitalGenerator(cols)
 
 
@@ -289,6 +304,8 @@ def load_lattice_vector(text: str, m_max: int, dimension: int | None = None) -> 
             raise LatticeVectorError(f"line {lineno}: not an integer: {line!r}") from None
     if dimension is None:
         dimension = len(comps)
+    if dimension < 1:
+        raise LatticeVectorError("dimension must be positive")
     if dimension > len(comps):
         raise LatticeVectorError(
             f"requested dimension {dimension} exceeds vector length {len(comps)}"
@@ -301,9 +318,15 @@ def _packaged_text(name: str) -> str:
     return resources.files("qmcube.data").joinpath(name).read_text(encoding="ascii")
 
 
+@functools.cache
+def _packaged_direction_rows(name: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The packaged table, parsed and validated once per process (immutable rows)."""
+    return _parse_direction_text(_packaged_text(name))
+
+
 def default_digital_generator(dimension: int) -> DigitalGenerator:
     """Unscrambled template backed by the packaged direction-number table."""
-    return load_direction_numbers(_packaged_text(_DEFAULT_DIRECTION_RESOURCE), dimension)
+    return _generator_from_rows(_packaged_direction_rows(_DEFAULT_DIRECTION_RESOURCE), dimension)
 
 
 def default_lattice_generator(dimension: int, m_max: int = _DEFAULT_LATTICE_M_MAX) -> LatticeGenerator:
@@ -328,7 +351,7 @@ def randomize_digital(template: DigitalGenerator, seed) -> DigitalGenerator:
     low = raw & (_DIGITS[::-1] - np.uint64(1))
     rows = (low << np.arange(PRECISION, 0, -1, dtype=np.uint64)) | _DIGITS
     shift = rng.integers(0, 1 << PRECISION, size=d, dtype=np.int64).astype(np.uint64)
-    columns = np.stack([_apply_scramble(rows[c], template.columns[c]) for c in range(d)])
+    columns = _apply_scramble(rows, template.columns)
     return DigitalGenerator(columns, shift)
 
 

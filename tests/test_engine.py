@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import qmcube as q
 from qmcube.cone import ConeParams
 from qmcube.engine import (
+    BASELINE_STRATEGIES,
     BaselineEstimate,
     Tolerance,
     heuristic_baselines,
@@ -18,7 +19,8 @@ from qmcube.engine import (
     sup_tolerance,
     tolerance_value,
 )
-from qmcube.sequences import DirectionTableError
+from qmcube.ledger import EvaluationError, _block_rows
+from qmcube.sequences import DirectionTableError, make_generator
 
 
 def grid_tol(v, v_hat, tol):
@@ -243,7 +245,78 @@ class TestIntegrate:
         assert row[:-1] == again.csv_row()[:-1]  # identical up to wall time
 
 
+def baseline_means_one_batch(f, dimension, strategy, repeats, n, family, seed):
+    """Replicate means with every replicate evaluated in one batch: the
+    formula the baselines used before blocked evaluation."""
+    if strategy == "iid-replications":
+        means = np.empty(repeats)
+        for rep in range(repeats):
+            gen = make_generator(family, dimension, seed ^ rep)
+            means[rep] = float(np.mean(f(gen.points(0, n).points)))
+        return means
+    if strategy == "internal-replications":
+        gen = make_generator(family, dimension, seed)
+        vals = np.asarray(f(gen.points(0, n * repeats).points), dtype=float)
+        return vals.reshape(repeats, n).mean(axis=1)
+    gen = make_generator(family, dimension * repeats, seed)
+    pts = gen.points(0, n).points
+    return np.array(
+        [float(np.mean(f(pts[:, r * dimension : (r + 1) * dimension]))) for r in range(repeats)]
+    )
+
+
+def product_integrand(x):
+    return np.prod(1.0 + 0.3 * (x - 0.5), axis=1)
+
+
+BASELINE_CASES = [
+    # (strategy, dimension, family): each case spans several evaluation blocks
+    ("iid-replications", 52, "digital"),
+    ("internal-replications", 52, "digital"),
+    ("internal-replications", 26, "lattice"),
+    ("quasi-standard-error", 13, "digital"),
+]
+
+
 class TestHeuristicBaselines:
+    @pytest.mark.parametrize("strategy,dimension,family", BASELINE_CASES)
+    def test_blocked_means_equal_one_batch(self, strategy, dimension, family):
+        repeats, n = 4, 1 << 14
+        sizes = []
+
+        def f(x):
+            sizes.append(x.shape[0])
+            return product_integrand(x)
+
+        out = heuristic_baselines(
+            f, dimension, strategy, repeats=repeats, n=n, family=family, seed=11
+        )
+        expect = baseline_means_one_batch(
+            product_integrand, dimension, strategy, repeats, n, family, 11
+        )
+        assert np.array_equal(out.replicate_means, expect)
+        generator_dim = dimension * repeats if strategy == "quasi-standard-error" else dimension
+        assert max(sizes) == _block_rows(generator_dim) < n
+
+    @pytest.mark.parametrize("strategy", BASELINE_STRATEGIES)
+    def test_nan_reports_global_index(self, strategy):
+        dimension, repeats, n, seed = 13, 4, 1 << 14, 2
+        index = n + 4101 if strategy == "internal-replications" else 4101
+        if strategy == "quasi-standard-error":
+            gen = make_generator("digital", dimension * repeats, seed)
+            target = gen.points(index, 1).points[0, 2 * dimension : 3 * dimension]
+        else:
+            target = make_generator("digital", dimension, seed).points(index, 1).points[0]
+
+        def f(x):
+            out = product_integrand(x)
+            out[np.all(x == target, axis=1)] = np.nan
+            return out
+
+        with pytest.raises(EvaluationError) as info:
+            heuristic_baselines(f, dimension, strategy, repeats=repeats, n=n, seed=seed)
+        assert info.value.index == index
+
     def test_constant_is_exact_everywhere(self):
         f = lambda x: np.full(x.shape[0], 2.0)
         for strategy in ("iid-replications", "internal-replications", "quasi-standard-error"):

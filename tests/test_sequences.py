@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from qmcube import sequences
 from qmcube.sequences import (
+    DigitalGenerator,
     DirectionTableError,
     IndexRangeError,
     LatticeGenerator,
@@ -28,6 +30,49 @@ JOE_KUO_HEAD = """d s a m_i
 
 def digits52(x):
     return np.round(np.asarray(x) * 2.0**52).astype(np.uint64)
+
+
+def columns_from_row_reference(a, m_init):
+    """Direction integers of one table row, written one numpy scalar at a
+    time: the expansion the library used before its vectorized shift."""
+    s = len(m_init)
+    m = list(m_init)
+    for k in range(s, 52):
+        mk = m[k - s] ^ (m[k - s] << s)
+        for i in range(1, s):
+            if (a >> (s - 1 - i)) & 1:
+                mk ^= m[k - i] << i
+        m.append(mk)
+    cols = np.zeros(52, dtype=np.uint64)
+    for k in range(1, 53):
+        cols[k - 1] = np.uint64(m[k - 1] << (52 - k))
+    return cols
+
+
+def template_columns_reference(dimension):
+    """Unscrambled columns of the packaged table built with the reference expansion."""
+    rows = sequences._packaged_direction_rows(sequences._DEFAULT_DIRECTION_RESOURCE)
+    radical_inverse = np.uint64(1) << np.arange(51, -1, -1, dtype=np.uint64)
+    return np.stack(
+        [radical_inverse] + [columns_from_row_reference(a, m) for a, m in rows[: dimension - 1]]
+    )
+
+
+def randomize_reference(columns, seed):
+    """Scrambled columns and shift, one coordinate at a time: the scramble
+    the library applied before it ran one pass per digit."""
+    rng = np.random.default_rng(seed)
+    d = columns.shape[0]
+    digits = np.uint64(1) << np.arange(51, -1, -1, dtype=np.uint64)
+    raw = rng.integers(0, 1 << 52, size=(d, 52), dtype=np.int64).astype(np.uint64)
+    low = raw & (digits[::-1] - np.uint64(1))
+    rows = (low << np.arange(52, 0, -1, dtype=np.uint64)) | digits
+    shift = rng.integers(0, 1 << 52, size=d, dtype=np.int64).astype(np.uint64)
+    out = np.empty_like(columns)
+    for c in range(d):
+        par = np.bitwise_count(rows[c][:, None] & columns[c][None, :]).astype(np.uint64)
+        out[c] = ((par & np.uint64(1)) * digits[:, None]).sum(axis=0, dtype=np.uint64)
+    return out, shift
 
 
 class TestDirectionTable:
@@ -65,6 +110,37 @@ class TestDirectionTable:
     def test_capacity_error(self):
         with pytest.raises(DirectionTableError, match="capacity"):
             load_direction_numbers(JOE_KUO_HEAD, dimension=64)
+
+    def test_packaged_rows_expand_like_reference(self):
+        rows = sequences._packaged_direction_rows(sequences._DEFAULT_DIRECTION_RESOURCE)
+        assert len(rows) == 1023
+        for a, m_init in rows:
+            cols = sequences._columns_from_row(a, m_init)
+            assert np.array_equal(cols, columns_from_row_reference(a, m_init))
+
+    def test_packaged_table_parsed_once_user_text_every_call(self, monkeypatch):
+        default_digital_generator(2)
+        calls = []
+        parse = sequences._parse_direction_text
+        monkeypatch.setattr(
+            sequences, "_parse_direction_text", lambda text: calls.append(text) or parse(text)
+        )
+        for d in (1, 52, 1024):
+            make_generator("digital", d, 0)
+        assert calls == []
+        for _ in range(2):
+            with pytest.raises(DirectionTableError, match="line 7"):
+                load_direction_numbers(JOE_KUO_HEAD + "7 4 x 1 1 3 3\n")
+        assert len(calls) == 2
+
+    def test_default_generators_are_independent(self):
+        a = default_digital_generator(52)
+        expect = a.columns.copy()
+        a.columns[:] = 0
+        a.shift[:] = 1
+        b = default_digital_generator(52)
+        assert np.array_equal(b.columns, expect)
+        assert not b.shift.any()
 
     def test_packaged_table_matches_scipy_point_sets(self):
         qmc = pytest.importorskip("scipy.stats.qmc")
@@ -107,6 +183,25 @@ class TestDigitalRandomization:
         ]
         ints = make_generator("digital", 3, 7).point_integers(0, 8)
         assert np.array_equal(ints, np.array(expect, dtype=np.uint64))
+
+    @pytest.mark.parametrize("dimension", [1, 12, 52, 1024])
+    def test_make_generator_matches_reference(self, dimension):
+        for seed in (1, 7):
+            gen = make_generator("digital", dimension, seed)
+            cols, shift = randomize_reference(template_columns_reference(dimension), seed)
+            assert np.array_equal(gen.columns, cols)
+            assert np.array_equal(gen.shift, shift)
+
+    def test_generator_shape_checks(self):
+        cols = default_digital_generator(3).columns
+        with pytest.raises(ValueError, match="shift"):
+            DigitalGenerator(cols, np.zeros(1, dtype=np.uint64))
+        with pytest.raises(ValueError, match="shift"):
+            DigitalGenerator(cols, np.zeros((3, 1), dtype=np.uint64))
+        for bad in (cols[:, :10], cols[0], np.zeros((0, 52), dtype=np.uint64), cols[None]):
+            with pytest.raises(ValueError, match="columns"):
+                DigitalGenerator(bad)
+        assert DigitalGenerator(cols, np.ones(3, dtype=np.uint64)).dimension == 3
 
     def test_scrambled_mean_near_half(self):
         for m, d in [(10, 2), (14, 4), (16, 3)]:
@@ -183,6 +278,9 @@ class TestLattice:
             load_lattice_vector("1\nx\n", m_max=6)
         with pytest.raises(LatticeVectorError):
             load_lattice_vector("1\n3\n", m_max=6, dimension=5)
+        for dimension in (0, -1):
+            with pytest.raises(LatticeVectorError, match="positive"):
+                load_lattice_vector("1\n17\n33\n", m_max=6, dimension=dimension)
 
 
 def rev_bits(i, bits):
