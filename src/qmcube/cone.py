@@ -9,7 +9,8 @@ reports integrands that demonstrably violate the assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +45,8 @@ class ConeParams:
             raise ValueError("l_star and r must be positive integers")
         if self.m_max < self.l_star + self.r:
             raise ValueError("m_max must be at least l_star + r")
+        if not all(math.isfinite(v) for v in (self.bound_scale, self.rho_scale, self.rho_cap)):
+            raise ValueError("bound_scale, rho_scale and rho_cap must be finite")
         if self.bound_scale <= 0:
             raise ValueError("bound_scale must be positive")
         if not self.rho(self.r) < 1.0:

@@ -123,9 +123,9 @@ def cv_integrate(
     combined values h = f + beta . (mu_g - g) are transformed and driven
     through the standard stopping rule.  Under the freeze policy beta is
     fit once at the first level; the refresh policy refits each level.
-    While beta is unchanged, only the new half of h is formed and the
-    ledger extends the previous level's transform; the raw f and g values
-    are kept only while a later level may refit beta.
+    While beta is unchanged, only the new half of h is formed and handed
+    to the ledger, which extends the previous level's transform; the raw f
+    and g values are kept only while a later level may refit beta.
     """
     cone = cone or ConeParams()
     gen = _resolve_generator(family, dimension, seed, generator)
@@ -154,11 +154,10 @@ def cv_integrate(
                 transform(f_values[:, 0]), transform(g_values), m, cone.r
             )
             h_values = f_values[:, 0] + (spec.means - g_values) @ beta
-            h_ledger = CoefficientLedger(gen, m, h_values[:, None])
+            h_ledger = CoefficientLedger(gen, m, h_values[:, None], r=cone.r)
         else:
             h_new = f_new[:, 0] + (spec.means - g_new) @ beta
-            h_values = np.concatenate([previous.values[:, 0], h_new])
-            h_ledger = CoefficientLedger(gen, m, h_values[:, None], previous)
+            h_ledger = CoefficientLedger(gen, m, h_new[:, None], previous, r=cone.r)
         if previous is not None:
             ell = m - cone.r
             violations.extend(necessary_condition(previous, h_ledger, ell, cone))

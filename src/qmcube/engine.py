@@ -10,6 +10,7 @@ literature are provided for comparison; they carry no guarantee.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -35,8 +36,8 @@ class Tolerance:
     rel_tol: float = 0.0
 
     def __post_init__(self):
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be nonnegative")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
+            raise ValueError("abs_tol must be finite and nonnegative")
         if not 0 <= self.rel_tol < 1:
             raise ValueError("rel_tol must lie in [0, 1)")
         if self.abs_tol == 0 and self.rel_tol == 0:
@@ -201,7 +202,7 @@ def integrate(
     ledger: CoefficientLedger | None = None
     for m in range(cone.min_level, top_level + 1):
         previous = ledger
-        ledger = build_ledger(f, gen, m, previous)
+        ledger = build_ledger(f, gen, m, previous, r=cone.r)
         if ledger.outputs != functional.output_count:
             raise ValueError(
                 f"integrand produced {ledger.outputs} outputs, functional "
@@ -284,6 +285,8 @@ def heuristic_baselines(
     """
     if repeats < 2:
         raise ValueError("at least two replicates are required")
+    if n < 1:
+        raise ValueError("n must be positive")
     if strategy == "iid-replications":
         means = np.empty(repeats)
         for rep in range(repeats):

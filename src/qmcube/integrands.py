@@ -5,11 +5,12 @@ normal-distribution kernels they need.
 All integrands are pure functions mapping an (n, d) array of points in
 [0,1)^d to an (n,) or (n, p) array of values; they are safe to evaluate
 concurrently in batches.  The engine calls integrands and controls on
-consecutive blocks of at most 2**18 / d points, so an integrand's value
-at a point must not depend on the other rows of its batch.  The
-generators hand out read-only point batches; the two Asian payoffs from
-one :func:`asian_payoffs` call share the normal quantiles of such a
-batch, so the pair pays for one quantile pass per block.
+consecutive blocks of at most 2**16 / d points (512 KiB of coordinates),
+so an integrand's value at a point must not depend on the other rows of
+its batch.  The generators hand out read-only point batches; the two
+Asian payoffs from one :func:`asian_payoffs` call share the normal
+quantiles of such a batch, so the pair pays for one quantile pass per
+block.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ def norm_pdf(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-def norm_inv_cdf(u):
-    """Standard normal quantile for u strictly inside (0, 1)."""
+def norm_inv_cdf(u, out=None):
+    """Standard normal quantile for u strictly inside (0, 1), into ``out`` if given."""
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if u.size and (u.min() <= 0.0 or u.max() >= 1.0):
         raise ValueError("norm_inv_cdf requires arguments strictly inside (0, 1)")
-    return ndtri(u)
+    return ndtri(u, out=out)
 
 
 # -- multivariate normal probabilities --------------------------------------
@@ -124,12 +125,14 @@ def genz_integrand(problem: MvnProblem) -> Callable[[np.ndarray], np.ndarray]:
             arg = x[:, i - 1] * width
             if finite_a[i - 1]:
                 arg += lo
-            np.clip(arg, _TINY, _ONE_BELOW, out=arg)
-            y[:, i - 1] = norm_inv_cdf(arg)
+            # np.clip, as two ufuncs without its Python wrapper
+            np.maximum(arg, _TINY, out=arg)
+            np.minimum(arg, _ONE_BELOW, out=arg)
+            norm_inv_cdf(arg, out=y[:, i - 1])
             partial = y[:, :i] @ L[i, :i]
             lo = cdf(i, a[i], partial) if finite_a[i] else 0.0
             hi = cdf(i, b[i], partial) if finite_b[i] else 1.0
-            width = hi - lo
+            width = hi - lo if finite_a[i] else hi  # hi - 0.0 is hi
             value *= width
         return value
 

@@ -7,12 +7,15 @@ natural node order, returned as the full conjugate-symmetric spectrum.  In
 both cases bin 0 is the sample mean and bins kappa and kappa + 2**(m-1) at
 level m alias to bin kappa at level m-1, so tier sums over dyadic index
 ranges are comparable across levels.
+
+A level is evaluated in blocks of at most 2**16 / d points (512 KiB of
+coordinates).  Its ledger keeps only what the next level and the error
+bound read: a digital ledger its signed coefficients and no values, a
+lattice ledger its values; neither keeps the magnitudes.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,7 +76,8 @@ def _bit_reversal(n: int) -> np.ndarray:
     Reversed over m + 1 bits, i < 2**m maps to twice its m-bit reversal
     and i + 2**m to one more, so the table is built by doubling in place.
     """
-    perm = np.zeros(n, dtype=np.intp)
+    perm = np.empty(n, dtype=np.intp)
+    perm[0] = 0
     h = 1
     while h < n:
         perm[:h] <<= 1
@@ -143,79 +147,105 @@ def magnitude_map(magnitudes: np.ndarray) -> np.ndarray:
     # Bit j of kmap[kappa] is bit j of kappa, toggled when level j swaps
     # the pair holding the entry's low j bits.
     kmap = np.arange(n)  # entries 0 and 1 are final; the loop rewrites the rest
+    bits = np.empty(n // 2, dtype=kmap.dtype)
     for j in range(1, m):
         h = 1 << j
-        bit = flips[j][kmap[:h]] << j
-        kmap[h : 2 * h] = kmap[:h] | (h - bit)
+        bit = bits[:h]
+        np.left_shift(flips[j][kmap[:h]], j, out=bit)
+        np.subtract(h, bit, out=kmap[h : 2 * h])
+        kmap[h : 2 * h] |= kmap[:h]
         kmap[:h] |= bit
     return kmap
 
 
+def _butterfly(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The last stage of :func:`fwht`: ((a + b) / 2, (a - b) / 2) in one array."""
+    h = a.shape[0]
+    out = np.empty((2 * h, a.shape[1]))
+    np.add(a, b, out=out[:h])
+    np.subtract(a, b, out=out[h:])
+    out /= 2
+    return out
+
+
 class CoefficientLedger:
-    """Coefficient magnitudes, tier sums and cached values at one level.
+    """Mean, tier sums and the ranked tier the error bound reads, at one level.
 
-    Supports p output coordinates sharing one point set: ``values`` has
-    shape (2**m, p), ``magnitudes`` likewise (natural index order), and
-    ``mean`` is the bin-0 value per coordinate.  Two tier-sum readings are
-    kept: ``tiers`` sums magnitudes over the fixed natural index ranges
-    (comparable across levels through the aliasing tree, used by the
-    cross-level decay check), while ``ranked_tiers`` sums them through the
-    data-driven :func:`magnitude_map` permutation, which restores the
-    convention that indices increase as coefficients decay and is what the
-    error bound reads.  Both are pure functions of the cached values.
+    Supports p output coordinates sharing one point set; ``mean`` is the
+    bin-0 value per coordinate.  Two tier-sum readings are taken from the
+    coefficient magnitudes, which are not kept: ``tiers`` sums them over
+    the fixed natural index ranges (comparable across levels through the
+    aliasing tree, used by the cross-level decay check), while ranked tier
+    m - r sums them through the data-driven :func:`magnitude_map`
+    permutation, which restores the convention that indices increase as
+    coefficients decay and is what the error bound reads.  Only that one
+    ranked tier is gathered and kept, so the caller passes ``r``.
 
-    ``previous``, the level m-1 ledger whose values are the first half of
-    ``values``, lets the digital transform run on the new half only: the
-    level-m coefficients are ((a + b) / 2, (a - b) / 2) with a the previous
-    signed coefficients and b the transform of the new half, which is the
-    last butterfly stage of :func:`fwht` and gives the same bits.  The
-    lattice transform is recomputed in full either way.
+    ``values`` has shape (k, p) and holds the integrand values at the
+    points the ledger adds: all 2**m points, or with ``previous`` (the
+    level m-1 ledger of the same generator) the 2**(m-1) new ones.  The
+    digital transform then runs on the new half only: the level-m
+    coefficients are ((a + b) / 2, (a - b) / 2) with a the previous signed
+    coefficients and b the transform of the new half, which is the last
+    butterfly stage of :func:`fwht` and gives the same bits.  A digital
+    ledger keeps its signed coefficients for the next level and no values.
+    The lattice transform runs over all 2**m values, so a lattice ledger
+    keeps them in ``values``.
     """
 
     def __init__(self, generator, m: int, values: np.ndarray,
-                 previous: CoefficientLedger | None = None):
+                 previous: CoefficientLedger | None = None, *, r: int):
+        if not 1 <= r <= m:
+            raise ValueError(f"r={r} must lie in [1, m] for level m={m}")
         self.generator = generator
         self.family = generator.family
         self.m = m
-        self.values = values
+        self.r = r
+        fresh = self.n if previous is None else self.n // 2
+        if values.ndim != 2 or values.shape[0] != fresh:
+            raise ValueError(f"expected ({fresh}, p) values for level {m}, got {values.shape}")
         if previous is not None and (
             previous.m != m - 1 or previous.generator is not generator
-            or previous.outputs != self.outputs
+            or previous.outputs != values.shape[1]
         ):
             raise ValueError("previous ledger must be level m-1 for the same generator and outputs")
         if self.family == "digital":
-            if previous is None:
-                coef = fwht(values)
-            else:
-                a, b = previous._signed, fwht(values[previous.n :])
-                coef = np.concatenate([a + b, a - b], axis=0)
-                coef /= 2
+            coef = fwht(values)
+            if previous is not None:
+                coef = _butterfly(previous._signed, coef)
             # kept for the next level's butterfly
             self._signed = coef
         else:
+            if previous is not None:
+                values = np.concatenate([previous.values, values], axis=0)
+            self.values = values
             coef = lattice_dft(values)
-        self.magnitudes = np.abs(coef)
         self.mean = coef[0].real.copy()
-        self.tiers = tier_sums(self.magnitudes)
-        ranked = np.stack(
+        magnitudes = np.abs(coef)
+        del coef  # a lattice transform is not kept, so ranking runs without it
+        self.tiers = tier_sums(magnitudes)
+        ell = m - r
+        lo, hi = (0, 1) if ell == 0 else (1 << (ell - 1), 1 << ell)
+        segment = np.stack(
             [
-                self.magnitudes[magnitude_map(self.magnitudes[:, j]), j]
-                for j in range(self.magnitudes.shape[1])
+                magnitudes[magnitude_map(magnitudes[:, j])[lo:hi], j]
+                for j in range(magnitudes.shape[1])
             ],
             axis=1,
         )
-        self.ranked_tiers = tier_sums(ranked)
+        # the reduction tier_sums applies to this range, so the bits match
+        self._ranked_tier = np.add.reduceat(segment, [0], axis=0)[0]
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return 1 << self.m
 
     @property
     def outputs(self) -> int:
-        return self.values.shape[1]
+        return self.mean.shape[0]
 
     def coefficients(self) -> np.ndarray:
-        """Signed (digital) or complex (lattice) transform of the cached values."""
+        """Signed (digital) or complex (lattice) coefficients, natural index order."""
         if self.family == "digital":
             return self._signed.copy()
         return lattice_dft(self.values)
@@ -224,19 +254,16 @@ class CoefficientLedger:
         return self.tiers[ell]
 
     def ranked_tier(self, ell: int) -> np.ndarray:
-        return self.ranked_tiers[ell]
-
-    def dump_csv(self, path, coordinate: int = 0, max_rows: int = 1 << 14) -> None:
-        """Write (kappa, magnitude) rows, uniformly strided above max_rows."""
-        stride = max(1, self.n // max_rows)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("kappa,magnitude\n")
-            for kappa in range(0, self.n, stride):
-                fh.write(f"{kappa},{self.magnitudes[kappa, coordinate]!r}\n")
+        """Ranked tier sum; only tier m - r is kept."""
+        if ell != self.m - self.r:
+            raise ValueError(f"the ledger keeps ranked tier m - r = {self.m - self.r} only, not {ell}")
+        return self._ranked_tier
 
 
-# Coordinates per evaluation block: 2**18 float64 values, 2 MiB.
-_BLOCK_COORDINATES = 1 << 18
+# Coordinates per evaluation block: 2**16 float64 values, 512 KiB, so a
+# block's points and an integrand's temporaries of the same size stay in a
+# 2 MiB L2 cache.
+_BLOCK_COORDINATES = 1 << 16
 
 
 def _block_rows(dimension: int) -> int:
@@ -273,9 +300,9 @@ def _evaluate(fns, generator, start: int, count: int) -> list[np.ndarray]:
                     f"integrand returned {vals.shape[1]} outputs at point index "
                     f"{batch.start}, after {out[k].shape[1]} before it"
                 )
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                where = int(np.nonzero(bad.any(axis=1))[0][0])
+            finite = np.isfinite(vals)
+            if not finite.all():
+                where = int(np.nonzero(~finite.all(axis=1))[0][0])
                 raise EvaluationError(batch.start + where, vals[where])
             out[k][lo : lo + batch.count] = vals
     return out
@@ -286,21 +313,20 @@ def build_ledger(
     generator,
     m: int,
     previous: CoefficientLedger | None = None,
+    *,
+    r: int,
 ) -> CoefficientLedger:
     """Evaluate the integrand on the first 2**m points and transform.
 
     When ``previous`` (the level m-1 ledger of the same generator) is
-    supplied, only the 2**(m-1) new points are evaluated, and the digital
-    transform runs on the new half only (see :class:`CoefficientLedger`).
+    supplied, only the 2**(m-1) new points are evaluated and handed over
+    (see :class:`CoefficientLedger`).  The ledger keeps ranked tier m - r.
     """
     if m < 1:
         raise ValueError("level m must be at least 1")
-    if previous is None:
-        (values,) = _evaluate((f,), generator, 0, 1 << m)
-    else:
-        (fresh,) = _evaluate((f,), generator, 1 << (m - 1), 1 << (m - 1))
-        values = np.concatenate([previous.values, fresh], axis=0)
-    return CoefficientLedger(generator, m, values, previous)
+    lo = 0 if previous is None else 1 << (m - 1)
+    (values,) = _evaluate((f,), generator, lo, (1 << m) - lo)
+    return CoefficientLedger(generator, m, values, previous, r=r)
 
 
 # -- sparse-spectrum diagnostics ------------------------------------------

@@ -22,7 +22,9 @@ from importlib import resources
 import numpy as np
 
 PRECISION = 52
-_SCALE = 2.0**-PRECISION
+# Bits of the float 1.0: OR-ed into an integer k < 2**52 they give the
+# float 1 + k * 2**-52.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 _DEFAULT_DIRECTION_RESOURCE = "joe-kuo-6.1024.txt"
 _DEFAULT_LATTICE_RESOURCE = "lattice-m20.600.txt"
 _DEFAULT_LATTICE_M_MAX = 20
@@ -147,6 +149,19 @@ def _dyadic_blocks(start: int, count: int):
         count -= size
 
 
+def _unit_floats(ints: np.ndarray) -> np.ndarray:
+    """Integers k < 2**52 turned in place into the floats k * 2**-52.
+
+    OR-ing in the bits of 1.0 makes the mantissa of 1 + k * 2**-52, and
+    subtracting 1 is exact, so this equals ``ints * 2.0**-52`` bit for bit
+    without a second array.  Returns the float view of ``ints``.
+    """
+    ints |= _ONE_BITS
+    floats = ints.view(np.float64)
+    floats -= 1.0
+    return floats
+
+
 def _doubled_points(start: int, count: int, steps: np.ndarray, base: np.ndarray, op) -> np.ndarray:
     """Points with indices [start, start + count) as integers, shape (d, count).
 
@@ -209,9 +224,7 @@ class DigitalGenerator:
 
     def points(self, start: int, count: int) -> PointBatch:
         """Generate points x_i = C z_i xor shift in natural order."""
-        points = self.point_integers(start, count).astype(np.float64)
-        points *= _SCALE
-        return PointBatch(start=start, points=points)
+        return PointBatch(start=start, points=_unit_floats(self.point_integers(start, count)))
 
 
 class LatticeGenerator:
@@ -219,7 +232,8 @@ class LatticeGenerator:
 
     The unshifted node with index i is frac(phi2(i) * g) where phi2 is the
     base-2 radical inverse and g the integer generating vector; the first
-    ``2**m_max`` nodes exhaust the modulus.
+    ``2**m_max`` nodes exhaust the modulus.  ``shift`` has one entry in
+    [0, 1) per coordinate (default 0).
     """
 
     family = "lattice"
@@ -234,7 +248,13 @@ class LatticeGenerator:
         self.m_max = m_max
         self.max_level = m_max
         d = g.size
-        self.shift = np.zeros(d) if shift is None else np.asarray(shift, dtype=np.float64)
+        if shift is None:
+            self.shift = np.zeros(d)
+        else:
+            self.shift = np.asarray(shift, dtype=np.float64)
+            # A NaN minimum fails the comparison, so this also requires a finite shift.
+            if self.shift.shape != (d,) or not (0.0 <= self.shift.min() and self.shift.max() < 1.0):
+                raise LatticeVectorError(f"shift must have shape ({d},) with entries in [0, 1)")
 
     @property
     def dimension(self) -> int:
@@ -246,20 +266,22 @@ class LatticeGenerator:
                 f"index range [{start}, {start + count}) exceeds modulus 2^{self.m_max}"
             )
         # Node integer i is rev(i) * g mod 2**m_max, the sum of
-        # g * 2**(m_max-1-b) over the set bits b of i.  uint64 arithmetic
-        # wraps mod 2**64, a multiple of the modulus, so one mask at the end
-        # reduces every node exactly.
+        # g * 2**(m_max-1-b) over the set bits b of i.  The steps are scaled
+        # by 2**(52-m_max), so the sums hold node * 2**(52-m_max), the
+        # node's 52-bit fraction.  uint64 arithmetic wraps mod 2**64, a
+        # multiple of 2**52, so one mask at the end reduces every node
+        # exactly.  The shift is added last; node and shift both lie in
+        # [0, 1), so the sum is below 2 and mod 1 subtracts 1 where it
+        # reaches 1.
         m = self.m_max
         steps = self.generating_vector.astype(np.uint64)[:, None] << np.arange(
-            m - 1, -1, -1, dtype=np.uint64
+            PRECISION - 1, PRECISION - 1 - m, -1, dtype=np.uint64
         )
         nodes = _doubled_points(start, count, steps, np.zeros(self.dimension, np.uint64), np.add).T
-        nodes &= np.uint64((1 << m) - 1)
-        # Exact in binary64 (m_max <= 40); the shift is added last, mod 1.
-        coords = nodes.astype(np.float64)
-        coords *= 2.0**-m
+        nodes &= np.uint64((1 << PRECISION) - 1)
+        coords = _unit_floats(nodes)
         coords += self.shift
-        coords -= np.floor(coords)
+        coords -= coords >= 1.0
         return PointBatch(start=start, points=coords)
 
 

@@ -34,6 +34,12 @@ class TestConeParams:
         with pytest.raises(ValueError):
             ConeParams(rho_scale=20.0, rho_cap=2.0)  # rho(r) >= 1
 
+    @pytest.mark.parametrize("field", ["bound_scale", "rho_scale", "rho_cap"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_scales_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            ConeParams(**{field: value})
+
     def test_serialize_keys(self):
         text = ConeParams().serialize()
         for key in ("l_star=", "r=", "C_scale=", "rho_scale=", "rho_cap=", "m_max="):
@@ -44,7 +50,7 @@ class TestConeParams:
 class TestErrorBound:
     def test_constant_integrand_zero_error(self):
         gen = make_generator("digital", 2, 0)
-        led = build_ledger(lambda x: np.full(x.shape[0], 4.2), gen, 10)
+        led = build_ledger(lambda x: np.full(x.shape[0], 4.2), gen, 10, r=4)
         est = error_bound(led, ConeParams())
         assert est.err[0] == 0.0
         assert est.n == 1024
@@ -67,7 +73,7 @@ class TestErrorBound:
         # unit mass at index 96 lands in tier 7 of the level-11 ledger
         gen = shift_only_digital(1, 3)
         spectrum = [((96,), 1.0)]
-        led = build_ledger(synthesize_integrand(gen, spectrum), gen, 11)
+        led = build_ledger(synthesize_integrand(gen, spectrum), gen, 11, r=4)
         assert led.tier(7)[0] == pytest.approx(1.0, rel=1e-12)
         assert np.delete(led.tiers[:, 0], 7).max() < 1e-12
 
@@ -77,14 +83,14 @@ class TestErrorBound:
         gen = shift_only_digital(1, 3)
         amps = [0.9**k for k in range(128)]
         spectrum = [((k,), amps[k]) for k in range(128)]
-        led = build_ledger(synthesize_integrand(gen, spectrum), gen, 11)
+        led = build_ledger(synthesize_integrand(gen, spectrum), gen, 11, r=4)
         est = error_bound(led, ConeParams())
         expect = 5.0 * 2.0**-11 * sum(amps[64:128])
         assert est.err[0] == pytest.approx(expect, rel=1e-10)
 
     def test_level_too_low(self):
         gen = make_generator("digital", 1, 1)
-        led = build_ledger(lambda x: x[:, 0], gen, 9)
+        led = build_ledger(lambda x: x[:, 0], gen, 9, r=4)
         with pytest.raises(LevelTooLowError):
             error_bound(led, ConeParams())
 
@@ -92,8 +98,8 @@ class TestErrorBound:
     @settings(max_examples=20, deadline=None)
     def test_positive_homogeneity(self, scale):
         gen = make_generator("digital", 2, 5)
-        base = build_ledger(lambda x: np.sin(x @ np.array([3.0, 1.0])), gen, 10)
-        scaled = build_ledger(lambda x: scale * np.sin(x @ np.array([3.0, 1.0])), gen, 10)
+        base = build_ledger(lambda x: np.sin(x @ np.array([3.0, 1.0])), gen, 10, r=4)
+        scaled = build_ledger(lambda x: scale * np.sin(x @ np.array([3.0, 1.0])), gen, 10, r=4)
         e0 = error_bound(base, ConeParams()).err[0]
         e1 = error_bound(scaled, ConeParams()).err[0]
         assert e1 == pytest.approx(scale * e0, rel=1e-9)
@@ -101,8 +107,8 @@ class TestErrorBound:
     def test_shift_invariance(self):
         gen = make_generator("lattice", 2, 6)
         f = lambda x: np.cos(x @ np.array([2.0, 5.0]))
-        e0 = error_bound(build_ledger(f, gen, 10), ConeParams()).err[0]
-        e1 = error_bound(build_ledger(lambda x: 42.0 + f(x), gen, 10), ConeParams()).err[0]
+        e0 = error_bound(build_ledger(f, gen, 10, r=4), ConeParams()).err[0]
+        e1 = error_bound(build_ledger(lambda x: 42.0 + f(x), gen, 10, r=4), ConeParams()).err[0]
         assert e1 == pytest.approx(e0, rel=1e-9, abs=1e-15)
 
 
@@ -113,14 +119,14 @@ def smooth_product(x):
 class TestNecessaryCondition:
     def test_identical_ledgers_always_pass(self):
         gen = make_generator("digital", 3, 8)
-        led = build_ledger(smooth_product, gen, 10)
+        led = build_ledger(smooth_product, gen, 10, r=4)
         assert necessary_condition(led, led, 7, ConeParams()) == []
 
     def test_smooth_product_passes_across_levels(self):
         gen = make_generator("digital", 3, 12)
-        led10 = build_ledger(smooth_product, gen, 10)
-        led12 = build_ledger(smooth_product, gen, 11, led10)
-        led12 = build_ledger(smooth_product, gen, 12, led12)
+        led10 = build_ledger(smooth_product, gen, 10, r=4)
+        led12 = build_ledger(smooth_product, gen, 11, led10, r=4)
+        led12 = build_ledger(smooth_product, gen, 12, led12, r=4)
         assert necessary_condition(led10, led12, 7, ConeParams()) == []
         assert necessary_condition(led12, led10, 7, ConeParams()) == []
 
@@ -131,8 +137,8 @@ class TestNecessaryCondition:
         spectrum = [((k,), 1.0) for k in range(1088, 1152, 8)]
         spectrum += [((3,), 0.5), ((17,), 0.25)]
         f = synthesize_integrand(gen, spectrum)
-        led10 = build_ledger(f, gen, 10)
-        led11 = build_ledger(f, gen, 11, led10)
+        led10 = build_ledger(f, gen, 10, r=4)
+        led11 = build_ledger(f, gen, 11, led10, r=4)
         reports = necessary_condition(led10, led11, 7, ConeParams())
         assert reports, "expected a violation report"
         rep = reports[0]
@@ -142,7 +148,7 @@ class TestNecessaryCondition:
 
     def test_ell_range_validated(self):
         gen = make_generator("digital", 1, 2)
-        led = build_ledger(lambda x: x[:, 0], gen, 10)
+        led = build_ledger(lambda x: x[:, 0], gen, 10, r=4)
         with pytest.raises(ValueError):
             necessary_condition(led, led, 3, ConeParams())
 
@@ -151,6 +157,6 @@ class TestNecessaryCondition:
         # params variant whose cap is exactly 1 - tiny to exercise the skip
         params = ConeParams(rho_scale=5.0, rho_cap=0.999999)
         gen = make_generator("digital", 1, 2)
-        led = build_ledger(lambda x: np.sin(7 * x[:, 0]), gen, 10)
+        led = build_ledger(lambda x: np.sin(7 * x[:, 0]), gen, 10, r=4)
         # ell = m: rho(0) = cap < 1 -> runs and passes both directions
         assert necessary_condition(led, led, 10, params) == []

@@ -11,8 +11,9 @@ from qmcube.control_variates import (
     beta_qmc,
     cv_integrate,
 )
-from qmcube.ledger import CoefficientLedger, EvaluationError, build_ledger, fwht
+from qmcube.ledger import CoefficientLedger, EvaluationError, fwht, lattice_dft
 from qmcube.sequences import make_generator
+from test_ledger import ReferenceLedger, assert_matches_reference
 
 
 class TestBetaQmc:
@@ -142,37 +143,38 @@ class TestCvIntegrate:
 
     def test_frozen_beta_ledger_incremental_equals_fresh(self):
         # the freeze policy forms only the new half of h after the first
-        # level and extends the previous level's transform
+        # level and hands it to the ledger, which extends the previous level
         f = lambda x: np.exp(x[:, 0] + 0.5 * x[:, 1])
         g = lambda x: np.stack([x[:, 0], x[:, 1] ** 2], axis=1)
         means = np.array([0.5, 1.0 / 3.0])
-        gen = make_generator("digital", 2, 13)
-        pts = gen.points(0, 1 << 10).points
-        beta, _ = beta_qmc(fwht(f(pts)), fwht(g(pts)), m=10, r=4)
-        ledger = CoefficientLedger(gen, 10, (f(pts) + (means - g(pts)) @ beta)[:, None])
-        for m in range(11, 14):
-            new = gen.points(1 << (m - 1), 1 << (m - 1)).points
-            h_new = f(new) + (means - g(new)) @ beta
-            values = np.concatenate([ledger.values[:, 0], h_new])[:, None]
-            ledger = CoefficientLedger(gen, m, values, ledger)
-            allpts = gen.points(0, 1 << m).points
-            fresh = CoefficientLedger(gen, m, (f(allpts) + (means - g(allpts)) @ beta)[:, None])
-            assert np.array_equal(ledger.values, fresh.values)
-            assert np.array_equal(ledger.magnitudes, fresh.magnitudes)
-            assert np.array_equal(ledger.ranked_tiers, fresh.ranked_tiers)
-        # cv_integrate's own ledger at its final level against a fresh one
-        spec = ControlVariateSpec(controls=g, means=means)
-        out = cv_integrate(f, 2, spec, q.Tolerance(1e-7), generator=gen)
-        assert out.result.n > 1 << 10
-        allpts = gen.points(0, out.result.n).points
-        m = out.result.n.bit_length() - 1
-        fresh = CoefficientLedger(gen, m, (f(allpts) + (means - g(allpts)) @ out.beta)[:, None])
-        expect = error_bound(fresh, ConeParams())
-        assert np.array_equal(out.result.estimate.mu, expect.mu)
-        assert np.array_equal(out.result.estimate.err, expect.err)
+        for family, transform in (("digital", fwht), ("lattice", lattice_dft)):
+            gen = make_generator(family, 2, 13)
+            pts = gen.points(0, 1 << 10).points
+            beta, _ = beta_qmc(transform(f(pts)), transform(g(pts)), m=10, r=4)
+            h = lambda x: (f(x) + (means - g(x)) @ beta)[:, None]
+            ledger = CoefficientLedger(gen, 10, h(pts), r=4)
+            ref = ReferenceLedger(gen, 10, h(pts))
+            for m in range(11, 14):
+                new = gen.points(1 << (m - 1), 1 << (m - 1)).points
+                ledger = CoefficientLedger(gen, m, h(new), ledger, r=4)
+                ref = ReferenceLedger(gen, m, h(gen.points(0, 1 << m).points), ref)
+                assert_matches_reference(ledger, ref)
+                assert_matches_reference(CoefficientLedger(gen, m, ref.values, r=4), ref)
+            # cv_integrate's own ledger at its final level against a fresh one
+            spec = ControlVariateSpec(controls=g, means=means)
+            out = cv_integrate(f, 2, spec, q.Tolerance(1e-7), generator=gen)
+            assert out.result.n > 1 << 10
+            allpts = gen.points(0, out.result.n).points
+            m = out.result.n.bit_length() - 1
+            fresh = CoefficientLedger(
+                gen, m, (f(allpts) + (means - g(allpts)) @ out.beta)[:, None], r=4
+            )
+            expect = error_bound(fresh, ConeParams())
+            assert np.array_equal(out.result.estimate.mu, expect.mu)
+            assert np.array_equal(out.result.estimate.err, expect.err)
 
     def test_controls_share_the_integrand_blocks(self):
-        # d = 52 gives blocks of 4096 points: each control call gets the
+        # d = 52 gives blocks of 1024 points: each control call gets the
         # batch the integrand has just seen, and a NaN in a later block of
         # a level reports its global index
         gen = make_generator("digital", 52, 4)
@@ -192,7 +194,9 @@ class TestCvIntegrate:
         spec = ControlVariateSpec(controls=g, means=[0.5])
         with pytest.raises(EvaluationError, match="index 12293"):
             cv_integrate(f, 52, spec, q.Tolerance(1e-12), generator=gen)
-        assert [x.shape[0] for x in seen] == [1024, 1024, 2048, 4096, 4096, 4096]
+        # levels 10 to 13 take 1, 1, 2 and 4 blocks; 12293 is in the fifth
+        # block of level 14
+        assert [x.shape[0] for x in seen] == [1024] * 13
 
     def test_capacity_exhausted_and_too_little_capacity(self):
         f = lambda x: x[:, 0] ** 2

@@ -43,6 +43,9 @@ class TestTolerance:
             Tolerance(-1.0, 0.1)
         with pytest.raises(ValueError):
             Tolerance(0.1, 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="abs_tol must be finite"):
+                Tolerance(bad, 0.1)
 
     def test_tolerance_value(self):
         tol = Tolerance(0.01, 0.05)
@@ -364,3 +367,9 @@ class TestHeuristicBaselines:
     def test_repeat_minimum(self):
         with pytest.raises(ValueError):
             heuristic_baselines(lambda x: x[:, 0], 2, "iid-replications", repeats=1, n=64)
+
+    @pytest.mark.parametrize("strategy", BASELINE_STRATEGIES)
+    def test_point_count_must_be_positive(self, strategy):
+        for n in (0, -4):
+            with pytest.raises(ValueError, match="n must be positive"):
+                heuristic_baselines(lambda x: x[:, 0], 2, strategy, repeats=4, n=n)

@@ -5,13 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmcube.integrands import AsianOption, SobolIndexProblem, asian_payoffs, bratley_g
+from qmcube.integrands import (
+    AsianOption,
+    SobolIndexProblem,
+    asian_payoffs,
+    bratley_g,
+    equicorrelated_mvn,
+    genz_integrand,
+)
 from qmcube.ledger import (
     CoefficientLedger,
     EvaluationError,
     TransformError,
     _bit_reversal,
     _block_rows,
+    _evaluate,
     aliasing_check,
     build_ledger,
     fwht,
@@ -99,6 +107,58 @@ def magnitude_map_tournament(magnitudes: np.ndarray) -> np.ndarray:
             kmap[fa + nl] = kmap[fa]
             kmap[fa] = high
     return kmap
+
+
+class ReferenceLedger:
+    """Reference :class:`CoefficientLedger`: the arithmetic that kept everything.
+
+    It holds all 2**m values, transforms them (the digital one extends the
+    previous level's signed coefficients by one butterfly), keeps the
+    magnitudes and sums every ranked tier.
+    """
+
+    def __init__(self, generator, m, values, previous=None):
+        self.m = m
+        self.values = values
+        if generator.family == "digital":
+            if previous is None:
+                coef = fwht(values)
+            else:
+                a, b = previous.coef, fwht(values[previous.values.shape[0] :])
+                coef = np.concatenate([a + b, a - b], axis=0)
+                coef /= 2
+        else:
+            coef = lattice_dft(values)
+        self.coef = coef
+        self.magnitudes = np.abs(coef)
+        self.mean = coef[0].real.copy()
+        self.tiers = tier_sums(self.magnitudes)
+        ranked = np.stack(
+            [
+                self.magnitudes[magnitude_map(self.magnitudes[:, j]), j]
+                for j in range(self.magnitudes.shape[1])
+            ],
+            axis=1,
+        )
+        self.ranked_tiers = tier_sums(ranked)
+
+
+def assert_matches_reference(led, ref):
+    """The kept readings of ``led`` equal the reference's, bit for bit."""
+    assert led.m == ref.m and led.n == ref.values.shape[0]
+    assert np.array_equal(led.mean, ref.mean)
+    assert np.array_equal(led.tiers, ref.tiers)
+    ell = led.m - led.r
+    assert np.array_equal(led.ranked_tier(ell), ref.ranked_tiers[ell])
+    assert np.array_equal(led.coefficients(), ref.coef)
+
+
+def three_outputs(x):
+    return np.stack([np.exp(x[:, 0]), x[:, 1] * x[:, 2], np.sin(9 * x[:, 2])], axis=1)
+
+
+def one_output(x):
+    return (np.cos(5 * x[:, 0]) * x[:, 1] + x[:, 2] ** 3)[:, None]
 
 
 class TestFwht:
@@ -228,25 +288,66 @@ class TestTierSums:
 class TestLedger:
     def test_constant_integrand(self):
         gen = make_generator("digital", 2, 11)
-        led = build_ledger(lambda x: np.full(x.shape[0], 7.0), gen, 10)
+        led = build_ledger(lambda x: np.full(x.shape[0], 7.0), gen, 10, r=4)
         assert np.allclose(led.mean, 7.0)
         assert np.abs(led.tiers[1:]).max() < 1e-12
 
     def test_mean_identity(self):
         for family in ("digital", "lattice"):
             gen = make_generator(family, 3, 2)
-            led = build_ledger(lambda x: np.cos(x @ np.ones(3)), gen, 8)
-            assert np.allclose(led.mean[0], led.values.mean(), rtol=1e-14)
+            f = lambda x: np.cos(x @ np.ones(3))
+            led = build_ledger(f, gen, 8, r=4)
+            values = f(gen.points(0, 256).points)
+            assert np.allclose(led.mean[0], values.mean(), rtol=1e-14)
 
     def test_incremental_equals_fresh(self):
         gen = make_generator("digital", 2, 9)
         f = lambda x: x[:, 0] * np.exp(x[:, 1])
-        led10 = build_ledger(f, gen, 10)
-        led11 = build_ledger(f, gen, 11, led10)
-        fresh = build_ledger(f, gen, 11)
-        assert np.array_equal(led11.values, fresh.values)
-        assert np.array_equal(led11.magnitudes, fresh.magnitudes)
-        assert np.array_equal(led11.ranked_tiers, fresh.ranked_tiers)
+        led10 = build_ledger(f, gen, 10, r=4)
+        led11 = build_ledger(f, gen, 11, led10, r=4)
+        fresh = build_ledger(f, gen, 11, r=4)
+        assert np.array_equal(led11.coefficients(), fresh.coefficients())
+        assert np.array_equal(led11.mean, fresh.mean)
+        assert np.array_equal(led11.tiers, fresh.tiers)
+        assert np.array_equal(led11.ranked_tier(7), fresh.ranked_tier(7))
+
+    @pytest.mark.parametrize("family", ["digital", "lattice"])
+    @pytest.mark.parametrize("f", [one_output, three_outputs], ids=["p1", "p3"])
+    def test_chain_matches_reference_bitwise(self, family, f):
+        gen = make_generator(family, 3, 17)
+        led = ref = None
+        for m in range(4, 13):
+            values = f(gen.points(0, 1 << m).points)
+            ref = ReferenceLedger(gen, m, values, ref)
+            led = build_ledger(f, gen, m, led, r=4)
+            assert_matches_reference(led, ref)
+        # every ranked tier, each read through a ledger that keeps it
+        for r in range(1, 13):
+            assert_matches_reference(CoefficientLedger(gen, 12, values, r=r), ref)
+
+    def test_keeps_only_what_the_next_level_reads(self):
+        f = lambda x: x[:, 0] ** 2
+        digital = build_ledger(f, make_generator("digital", 1, 3), 8, r=4)
+        lattice = build_ledger(f, make_generator("lattice", 1, 3), 8, r=4)
+        assert not hasattr(digital, "values")
+        assert lattice.values.shape == (256, 1)
+        for led in (digital, lattice):
+            assert not hasattr(led, "magnitudes")
+            with pytest.raises(ValueError, match="ranked tier m - r = 4 only"):
+                led.ranked_tier(3)
+
+    def test_validates_r_and_value_rows(self):
+        gen = make_generator("digital", 1, 3)
+        values = np.ones((256, 1))
+        for r in (0, 9):
+            with pytest.raises(ValueError, match="r="):
+                CoefficientLedger(gen, 8, values, r=r)
+        led = CoefficientLedger(gen, 8, values, r=8)
+        assert np.array_equal(led.ranked_tier(0), [1.0])
+        with pytest.raises(ValueError, match="expected"):
+            CoefficientLedger(gen, 9, values[:100], led, r=4)
+        with pytest.raises(ValueError, match="expected"):
+            CoefficientLedger(gen, 9, np.ones((512, 1)), led, r=4)
 
     @pytest.mark.parametrize("family", ["digital", "lattice"])
     def test_incremental_chain_equals_fwht_bitwise(self, family):
@@ -254,29 +355,30 @@ class TestLedger:
         # previous level's coefficients to exactly the full transform
         gen = make_generator(family, 3, 4)
         f = lambda x: np.stack([np.exp(x[:, 0]), x[:, 1] * x[:, 2], np.sin(9 * x[:, 2])], axis=1)
-        led = build_ledger(f, gen, 6)
+        led = build_ledger(f, gen, 6, r=4)
         for m in range(7, 12):
-            led = build_ledger(f, gen, m, led)
-            full = fwht(led.values) if family == "digital" else lattice_dft(led.values)
+            led = build_ledger(f, gen, m, led, r=4)
+            values = f(gen.points(0, 1 << m).points)
+            full = fwht(values) if family == "digital" else lattice_dft(values)
             assert np.array_equal(led.coefficients(), full)
-            assert np.array_equal(led.magnitudes, np.abs(full))
-            assert np.array_equal(led.tiers, CoefficientLedger(gen, m, led.values).tiers)
+            assert np.array_equal(led.tiers, tier_sums(np.abs(full)))
+            assert np.array_equal(led.tiers, CoefficientLedger(gen, m, values, r=4).tiers)
 
     def test_incremental_validates_level_and_generator(self):
         gen = make_generator("digital", 2, 9)
         f = lambda x: x[:, 0]
-        led = build_ledger(f, gen, 8)
+        led = build_ledger(f, gen, 8, r=4)
         with pytest.raises(ValueError):
-            build_ledger(f, gen, 10, led)
+            build_ledger(f, gen, 10, led, r=4)
         with pytest.raises(ValueError):
-            build_ledger(f, make_generator("digital", 2, 10), 9, led)
+            build_ledger(f, make_generator("digital", 2, 10), 9, led, r=4)
 
     def test_single_walsh_term_unscrambled(self):
         gen = default_digital_generator(1)
         kappa0 = 37
         f = synthesize_integrand(gen, [((kappa0,), 1.0)])
-        led = build_ledger(f, gen, 8)
-        mags = led.magnitudes[:, 0]
+        led = build_ledger(f, gen, 8, r=4)
+        mags = np.abs(led.coefficients()[:, 0])
         assert abs(mags[kappa0] - 1.0) < 1e-12
         assert np.abs(np.delete(mags, kappa0)).max() < 1e-12
 
@@ -289,27 +391,32 @@ class TestLedger:
             return out
 
         with pytest.raises(EvaluationError, match="index 5"):
-            build_ledger(f, gen, 4)
+            build_ledger(f, gen, 4, r=4)
 
     def test_parseval_digital(self):
         gen = make_generator("digital", 2, 31)
-        led = build_ledger(lambda x: np.sin(3 * x[:, 0]) + x[:, 1] ** 2, gen, 9)
-        lhs = (led.magnitudes[:, 0] ** 2).sum()
-        rhs = (led.values[:, 0] ** 2).mean()
+        f = lambda x: np.sin(3 * x[:, 0]) + x[:, 1] ** 2
+        led = build_ledger(f, gen, 9, r=4)
+        lhs = (led.coefficients()[:, 0] ** 2).sum()
+        rhs = (f(gen.points(0, 512).points) ** 2).mean()
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
-    def test_dump_csv(self, tmp_path):
+    def test_spectrum_rows_from_coefficients(self, tmp_path):
+        # a level's (kappa, magnitude) table is written from coefficients()
         gen = make_generator("digital", 1, 12)
-        led = build_ledger(lambda x: x[:, 0], gen, 6)
+        led = build_ledger(lambda x: x[:, 0], gen, 6, r=4)
         path = tmp_path / "spec.csv"
-        led.dump_csv(path)
+        mags = np.abs(led.coefficients()[:, 0])
+        rows = np.column_stack([np.arange(led.n), mags])
+        np.savetxt(path, rows, delimiter=",", header="kappa,magnitude", comments="")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "kappa,magnitude"
         assert len(lines) == 65
+        assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1)[:, 1], mags)
 
 
 class TestBlockedEvaluation:
-    """Levels are evaluated in blocks of at most 2**18 coordinates."""
+    """Levels are evaluated in blocks of at most 2**16 coordinates."""
 
     @staticmethod
     def nan_at(gen, index: int):
@@ -324,19 +431,19 @@ class TestBlockedEvaluation:
         return f
 
     def test_block_rows(self):
-        assert [_block_rows(d) for d in (1, 7, 12, 52)] == [1 << 18, 32768, 16384, 4096]
-        assert _block_rows((1 << 18) + 1) == 1
+        assert [_block_rows(d) for d in (1, 7, 12, 52)] == [1 << 16, 8192, 4096, 1024]
+        assert _block_rows((1 << 16) + 1) == 1
 
     def test_nan_in_later_block_reports_global_index(self):
         gen = make_generator("digital", 52, 3)
-        assert _block_rows(52) == 4096
+        assert _block_rows(52) == 1024
         with pytest.raises(EvaluationError, match="index 4101") as info:
-            build_ledger(self.nan_at(gen, 4101), gen, 14)
+            build_ledger(self.nan_at(gen, 4101), gen, 14, r=4)
         assert info.value.index == 4101
         f = self.nan_at(gen, 8192 + 4101)
-        led = build_ledger(f, gen, 13)
+        led = build_ledger(f, gen, 13, r=4)
         with pytest.raises(EvaluationError, match="index 12293") as info:
-            build_ledger(f, gen, 14, led)
+            build_ledger(f, gen, 14, led, r=4)
         assert info.value.index == 12293
 
     def test_output_count_change_between_blocks_raises(self):
@@ -348,40 +455,55 @@ class TestBlockedEvaluation:
             return np.ones((x.shape[0], 1 if len(calls) == 1 else 2))
 
         with pytest.raises(ValueError, match="outputs"):
-            build_ledger(f, gen, 13)
-        assert calls == [4096, 4096]
+            build_ledger(f, gen, 13, r=4)
+        assert calls == [1024, 1024]
 
     def test_asian_arithmetic_values_equal_one_batch(self):
         gen = make_generator("digital", 52, 5)
         arithmetic, _, _ = asian_payoffs(AsianOption())
-        m = 14  # four blocks of 4096 points
+        m = 14  # sixteen blocks of 1024 points
         whole = arithmetic(gen.points(0, 1 << m).points)
-        led = build_ledger(arithmetic, gen, m)
-        assert np.array_equal(led.values[:, 0], whole)
-        led = build_ledger(arithmetic, gen, m, build_ledger(arithmetic, gen, m - 1))
-        assert np.array_equal(led.values[:, 0], whole)
+        (values,) = _evaluate((arithmetic,), gen, 0, 1 << m)
+        assert np.array_equal(values[:, 0], whole)
+        expect = fwht(whole[:, None])
+        led = build_ledger(arithmetic, gen, m, r=4)
+        assert np.array_equal(led.coefficients(), expect)
+        led = build_ledger(arithmetic, gen, m, build_ledger(arithmetic, gen, m - 1, r=4), r=4)
+        assert np.array_equal(led.coefficients(), expect)
 
     def test_sobol_index_values_equal_one_batch(self):
         gen = make_generator("digital", 12, 1)
         f = SobolIndexProblem(bratley_g, 1, 6).integrand()
-        m = 16  # four blocks of 16384 points
-        led = build_ledger(f, gen, m)
-        assert led.values.shape == (1 << m, 3)
-        assert np.array_equal(led.values, f(gen.points(0, 1 << m).points))
+        m = 16  # sixteen blocks of 4096 points
+        whole = f(gen.points(0, 1 << m).points)
+        (values,) = _evaluate((f,), gen, 0, 1 << m)
+        assert values.shape == (1 << m, 3)
+        assert np.array_equal(values, whole)
+        assert np.array_equal(build_ledger(f, gen, m, r=4).coefficients(), fwht(whole))
+
+    @staticmethod
+    def level_peak(f, gen, m) -> int:
+        """Peak traced bytes while level m extends level m - 1."""
+        previous = build_ledger(f, gen, m - 1, r=4)
+        tracemalloc.start()
+        try:
+            build_ledger(f, gen, m, previous, r=4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_level_memory_grows_with_outputs_not_dimension(self):
         # A whole-batch level holds the 32768 x 52 points, their normals
-        # and the paths at once (about 40 MB); blocks hold 4096 rows of each.
-        gen = make_generator("digital", 52, 1)
+        # and the paths at once (about 40 MB); blocks hold 1024 rows of
+        # each, and the digital ledger keeps no values.
         arithmetic, _, _ = asian_payoffs(AsianOption())
-        previous = build_ledger(arithmetic, gen, 15)
-        tracemalloc.start()
-        try:
-            build_ledger(arithmetic, gen, 16, previous)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+        assert self.level_peak(arithmetic, make_generator("digital", 52, 1), 16) < 4e6
+
+    def test_lattice_level_memory_grows_with_outputs_not_dimension(self):
+        # The 32768 new points of the 7-dimensional Genz integrand in
+        # blocks of 8192 rows; the lattice transform holds the 65536 values.
+        f = genz_integrand(equicorrelated_mvn(8, 0.5, np.ones(8)))
+        assert self.level_peak(f, make_generator("lattice", 7, 1), 16) < 4e6
 
 
 class TestAliasing:
@@ -389,7 +511,7 @@ class TestAliasing:
         gen = default_digital_generator(1)
         m = 6
         spectrum = [((5,), 0.7), ((40,), -0.2)]
-        led = build_ledger(synthesize_integrand(gen, spectrum), gen, m)
+        led = build_ledger(synthesize_integrand(gen, spectrum), gen, m, r=4)
         assert aliasing_check(led, spectrum) < 1e-12
 
     def test_dual_term_folds_into_mean(self):
@@ -397,7 +519,7 @@ class TestAliasing:
         gen = default_digital_generator(1)
         m = 6
         spectrum = [((1 << m,), 0.9)]
-        led = build_ledger(synthesize_integrand(gen, spectrum), gen, m)
+        led = build_ledger(synthesize_integrand(gen, spectrum), gen, m, r=4)
         assert abs(led.mean[0] - 0.9) < 1e-12
         assert aliasing_check(led, spectrum) < 1e-12
 
@@ -410,7 +532,7 @@ class TestAliasing:
                  float(rng.standard_normal()))
                 for _ in range(5)
             ]
-            led = build_ledger(synthesize_integrand(gen, spectrum), gen, m)
+            led = build_ledger(synthesize_integrand(gen, spectrum), gen, m, r=4)
             assert aliasing_check(led, spectrum) < 1e-10
 
             lat = randomize_lattice(default_lattice_generator(2), int(rng.integers(1 << 30)))
@@ -420,7 +542,7 @@ class TestAliasing:
                 amp = complex(rng.standard_normal(), rng.standard_normal())
                 spectrum.append((wav, amp))
                 spectrum.append((tuple(-w for w in wav), amp.conjugate()))
-            led = build_ledger(synthesize_integrand(lat, spectrum), lat, m)
+            led = build_ledger(synthesize_integrand(lat, spectrum), lat, m, r=4)
             assert aliasing_check(led, spectrum) < 1e-10
 
     def test_coset_magnitude_independent_of_carrier(self):
@@ -431,16 +553,16 @@ class TestAliasing:
             spectrum = [((kappa + (lam << m),), 0.6)]
             # shift-only digital generator keeps the index map transparent
             shifted = type(gen_plain)(gen_plain.columns, np.array([123456789], dtype=np.uint64))
-            led = build_ledger(synthesize_integrand(shifted, spectrum), shifted, m)
-            assert abs(led.magnitudes[kappa, 0] - 0.6) < 1e-12
+            led = build_ledger(synthesize_integrand(shifted, spectrum), shifted, m, r=4)
+            assert abs(abs(led.coefficients()[kappa, 0]) - 0.6) < 1e-12
 
         lat = default_lattice_generator(1)
         assert lat.generating_vector[0] == 1
         for lam in (0, 1, 5):
             wave = kappa + (lam << m)
             spectrum = [((wave,), 0.3), ((-wave,), 0.3)]
-            led = build_ledger(synthesize_integrand(lat, spectrum), lat, m)
-            assert abs(led.magnitudes[kappa, 0] - 0.3) < 1e-12
+            led = build_ledger(synthesize_integrand(lat, spectrum), lat, m, r=4)
+            assert abs(abs(led.coefficients()[kappa, 0]) - 0.3) < 1e-12
 
     def test_predicted_coefficients_shift_phase(self):
         lat = randomize_lattice(default_lattice_generator(1), 4)

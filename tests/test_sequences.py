@@ -232,8 +232,30 @@ class TestDigitalRandomization:
         with pytest.raises(IndexRangeError):
             gen.points(1 << 52, 2)
 
+    def test_points_exact_at_52_bit_extremes(self):
+        # point integers k = 0 and k = 2**52 - 1 become k * 2**-52 exactly
+        top = (1 << 52) - 1
+        cols = np.zeros((2, 52), dtype=np.uint64)
+        cols[:, 0] = [top, 1]
+        gen = DigitalGenerator(cols, np.array([0, top], dtype=np.uint64))
+        assert gen.point_integers(0, 2).tolist() == [[0, top], [top, top - 1]]
+        pts = gen.points(0, 2).points
+        expect = np.array([[0.0, top * 2.0**-52], [top * 2.0**-52, (top - 1) * 2.0**-52]])
+        assert np.array_equal(pts, expect)
+        assert pts[0, 0] == 0.0 and pts[0, 1] == 1.0 - 2.0**-52
+        assert pts.dtype == np.float64 and pts.flags.f_contiguous
+
 
 class TestLattice:
+    def test_shift_validated(self):
+        g = default_lattice_generator(3).generating_vector
+        for bad in ([0.5], [0.1, 0.2], np.zeros((3, 1)), [0.1, np.nan, 0.2], [0.1, 1.0, 0.2],
+                    [-0.1, 0.2, 0.3], [0.1, np.inf, 0.2]):
+            with pytest.raises(LatticeVectorError, match="shift"):
+                LatticeGenerator(g, m_max=20, shift=bad)
+        shift = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+        assert np.array_equal(LatticeGenerator(g, m_max=20, shift=shift).shift, shift)
+
     def test_first_node_is_shift(self):
         gen = randomize_lattice(default_lattice_generator(3), 3)
         assert np.allclose(gen.points(0, 1).points[0], gen.shift)
