@@ -142,6 +142,10 @@ def cv_integrate(
     for m in range(cone.min_level, top_level + 1):
         lo = 0 if m == cone.min_level else 1 << (m - 1)
         f_new, g_new = _evaluate((f, spec.controls), gen, lo, (1 << m) - lo)
+        if f_new.shape[1] != 1:
+            raise ValueError(
+                f"cv_integrate takes a one-output integrand, got p = {f_new.shape[1]} outputs"
+            )
         if g_new.shape[1] != spec.count:
             raise ValueError(
                 f"controls returned {g_new.shape[1]} outputs, expected {spec.count}"

@@ -152,9 +152,13 @@ class CubatureResult:
 
 
 def _resolve_generator(family: str, dimension: int, seed, generator):
-    if generator is not None:
-        return generator
-    return make_generator(family, dimension, seed)
+    if generator is None:
+        return make_generator(family, dimension, seed)
+    if generator.dimension != dimension:
+        raise ValueError(
+            f"generator has dimension {generator.dimension}, expected {dimension}"
+        )
+    return generator
 
 
 def _level_budget(cone: ConeParams, gen) -> tuple[int, str]:

@@ -299,14 +299,11 @@ class AsianOption:
         """PCA factor A with A A^T equal to the Brownian covariance,
         columns ordered by descending variance contribution, row 0 positive.
 
-        Eigenvector k is proportional to sin((2k-1) i pi / (2d+1)),
-        i = 1..d, whose first entry is positive.  Its two largest entries
-        tie to rounding, so they cannot fix the sign.
+        The factor depends only on ``monitors`` and ``maturity`` and is
+        computed once per process for each pair; every call returns a
+        fresh copy.
         """
-        lam, vec = np.linalg.eigh(self.brownian_covariance())
-        lam, vec = lam[::-1], vec[:, ::-1]
-        vec = vec * np.sign(vec[0])[None, :]
-        return vec * np.sqrt(np.maximum(lam, 0.0))[None, :]
+        return _path_factor(self.monitors, self.maturity).copy()
 
     def geometric_price(self) -> float:
         """Closed-form price of the geometric-mean Asian call.
@@ -328,6 +325,23 @@ class AsianOption:
         return float(disc * (forward * norm_cdf(d1) - self.strike * norm_cdf(d2)))
 
 
+@functools.lru_cache(maxsize=8)
+def _path_factor(monitors: int, maturity: float) -> np.ndarray:
+    """Read-only PCA factor of the Brownian covariance on ``monitors`` even steps to ``maturity``.
+
+    Eigenvector k is proportional to sin((2k-1) i pi / (2d+1)), i = 1..d,
+    whose first entry is positive.  Its two largest entries tie to
+    rounding, so they cannot fix the sign.
+    """
+    cov = AsianOption(maturity=maturity, monitors=monitors).brownian_covariance()
+    lam, vec = np.linalg.eigh(cov)
+    lam, vec = lam[::-1], vec[:, ::-1]
+    vec = vec * np.sign(vec[0])[None, :]
+    factor = vec * np.sqrt(np.maximum(lam, 0.0))[None, :]
+    factor.flags.writeable = False
+    return factor
+
+
 def asian_payoffs(option: AsianOption):
     """Arithmetic and geometric discounted payoff integrands on [0,1)^d.
 
@@ -345,7 +359,7 @@ def asian_payoffs(option: AsianOption):
     so a payoff used on its own keeps no batch or quantiles alive.
     """
     d = option.monitors
-    A = option.path_matrix()
+    A = _path_factor(option.monitors, option.maturity)
     t = option.times
     drift = (option.rate - 0.5 * option.volatility**2) * t
     disc = np.exp(-option.rate * option.maturity)

@@ -231,9 +231,10 @@ class LatticeGenerator:
     """Shifted rank-1 lattice node sequence in van der Corput order.
 
     The unshifted node with index i is frac(phi2(i) * g) where phi2 is the
-    base-2 radical inverse and g the integer generating vector; the first
-    ``2**m_max`` nodes exhaust the modulus.  ``shift`` has one entry in
-    [0, 1) per coordinate (default 0).
+    base-2 radical inverse and g the integer generating vector, whose
+    components must be positive and odd; the first ``2**m_max`` nodes
+    exhaust the modulus.  ``shift`` has one entry in [0, 1) per coordinate
+    (default 0).
     """
 
     family = "lattice"
@@ -242,6 +243,15 @@ class LatticeGenerator:
         g = np.asarray(generating_vector, dtype=np.int64)
         if g.ndim != 1 or g.size == 0:
             raise LatticeVectorError("generating vector must be a nonempty 1-D integer array")
+        # A zero component pins its coordinate to the shift, and an even one
+        # repeats nodes at every level.  A list scan beats numpy's per-call
+        # overhead at the usual few dozen components.
+        bad = [i for i, c in enumerate(g.tolist()) if c <= 0 or c % 2 == 0]
+        if bad:
+            raise LatticeVectorError(
+                f"generating vector component {bad[0]} is {g[bad[0]]}; "
+                "every component must be a positive odd integer"
+            )
         if m_max < 1 or m_max > 40:
             raise LatticeVectorError(f"unsupported m_max={m_max}")
         self.generating_vector = g
@@ -296,9 +306,8 @@ def load_direction_numbers(text: str, dimension: int | None = None) -> DigitalGe
     return _generator_from_rows(_parse_direction_text(text), dimension)
 
 
-def _generator_from_rows(rows, dimension: int | None) -> DigitalGenerator:
-    """Generator from parsed table rows: the radical inverse, then one row per coordinate."""
-    capacity = 1 + len(rows)
+def _digital_template(capacity: int, dimension: int | None, row_columns) -> DigitalGenerator:
+    """Generator of the radical inverse, then ``row_columns(c)`` for coordinates c >= 1."""
     if dimension is None:
         dimension = capacity
     if dimension < 1:
@@ -307,15 +316,20 @@ def _generator_from_rows(rows, dimension: int | None) -> DigitalGenerator:
         raise DirectionTableError(
             f"requested dimension {dimension} exceeds table capacity {capacity}"
         )
-    cols = np.zeros((dimension, PRECISION), dtype=np.uint64)
+    cols = np.empty((dimension, PRECISION), dtype=np.uint64)
     cols[0] = _DIGITS
     for c in range(1, dimension):
-        cols[c] = _columns_from_row(*rows[c - 1])
+        cols[c] = row_columns(c)
     return DigitalGenerator(cols)
 
 
-def load_lattice_vector(text: str, m_max: int, dimension: int | None = None) -> LatticeGenerator:
-    """Build an unshifted lattice generator from a one-integer-per-line file."""
+def _generator_from_rows(rows, dimension: int | None) -> DigitalGenerator:
+    """Generator from parsed table rows, each row expanded on this call."""
+    return _digital_template(1 + len(rows), dimension, lambda c: _columns_from_row(*rows[c - 1]))
+
+
+def _parse_lattice_text(text: str) -> np.ndarray:
+    """The integers of a one-integer-per-line file (blank lines skipped)."""
     comps: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -324,18 +338,27 @@ def load_lattice_vector(text: str, m_max: int, dimension: int | None = None) -> 
             comps.append(int(line.strip()))
         except ValueError:
             raise LatticeVectorError(f"line {lineno}: not an integer: {line!r}") from None
+    return np.array(comps, dtype=np.int64)
+
+
+def _lattice_from_components(comps: np.ndarray, m_max: int, dimension: int | None) -> LatticeGenerator:
+    """Generator owning a copy of the first ``dimension`` components."""
     if dimension is None:
-        dimension = len(comps)
+        dimension = comps.size
     if dimension < 1:
         raise LatticeVectorError("dimension must be positive")
-    if dimension > len(comps):
+    if dimension > comps.size:
         raise LatticeVectorError(
-            f"requested dimension {dimension} exceeds vector length {len(comps)}"
+            f"requested dimension {dimension} exceeds vector length {comps.size}"
         )
-    return LatticeGenerator(np.array(comps[:dimension], dtype=np.int64), m_max=m_max)
+    return LatticeGenerator(comps[:dimension].copy(), m_max=m_max)
 
 
-@functools.lru_cache(maxsize=4)
+def load_lattice_vector(text: str, m_max: int, dimension: int | None = None) -> LatticeGenerator:
+    """Build an unshifted lattice generator from a one-integer-per-line file."""
+    return _lattice_from_components(_parse_lattice_text(text), m_max, dimension)
+
+
 def _packaged_text(name: str) -> str:
     return resources.files("qmcube.data").joinpath(name).read_text(encoding="ascii")
 
@@ -346,14 +369,43 @@ def _packaged_direction_rows(name: str) -> tuple[tuple[int, tuple[int, ...]], ..
     return _parse_direction_text(_packaged_text(name))
 
 
+@functools.cache
+def _packaged_direction_columns(name: str, c: int) -> np.ndarray:
+    """Columns of coordinate c >= 1 of the packaged table, expanded on first use (read-only)."""
+    cols = _columns_from_row(*_packaged_direction_rows(name)[c - 1])
+    cols.flags.writeable = False
+    return cols
+
+
+@functools.cache
+def _packaged_lattice_components(name: str) -> np.ndarray:
+    """The packaged generating vector, parsed once per process (read-only)."""
+    comps = _parse_lattice_text(_packaged_text(name))
+    comps.flags.writeable = False
+    return comps
+
+
 def default_digital_generator(dimension: int) -> DigitalGenerator:
-    """Unscrambled template backed by the packaged direction-number table."""
-    return _generator_from_rows(_packaged_direction_rows(_DEFAULT_DIRECTION_RESOURCE), dimension)
+    """Unscrambled template backed by the packaged direction-number table.
+
+    The table is parsed once per process and each of its rows is expanded
+    the first time a template needs it; every template gets its own copy
+    of the columns.
+    """
+    name = _DEFAULT_DIRECTION_RESOURCE
+    capacity = 1 + len(_packaged_direction_rows(name))
+    return _digital_template(capacity, dimension, lambda c: _packaged_direction_columns(name, c))
 
 
 def default_lattice_generator(dimension: int, m_max: int = _DEFAULT_LATTICE_M_MAX) -> LatticeGenerator:
-    """Unshifted template backed by the packaged generating vector."""
-    return load_lattice_vector(_packaged_text(_DEFAULT_LATTICE_RESOURCE), m_max, dimension)
+    """Unshifted template backed by the packaged generating vector.
+
+    The vector is parsed once per process; every template gets its own
+    copy of the first ``dimension`` components.
+    """
+    return _lattice_from_components(
+        _packaged_lattice_components(_DEFAULT_LATTICE_RESOURCE), m_max, dimension
+    )
 
 
 def randomize_digital(template: DigitalGenerator, seed) -> DigitalGenerator:

@@ -212,6 +212,18 @@ class TestCvIntegrate:
         with pytest.raises(ValueError, match=message):
             q.integrate_scalar(f, 2, q.Tolerance(1e-3), generator=small)
 
+    def test_generator_dimension_mismatch(self):
+        spec = ControlVariateSpec(controls=lambda x: x[:, :1], means=[0.5])
+        gen = make_generator("digital", 7, 1)
+        with pytest.raises(ValueError, match="generator has dimension 7, expected 5"):
+            cv_integrate(lambda x: x.sum(axis=1), 5, spec, q.Tolerance(1e-3), generator=gen)
+
+    @pytest.mark.parametrize("policy", ["freeze-after-first-level", "refresh-each-level"])
+    def test_multi_output_integrand_rejected(self, policy):
+        spec = ControlVariateSpec(controls=lambda x: x[:, :1], means=[0.5], policy=policy)
+        with pytest.raises(ValueError, match="one-output integrand, got p = 2"):
+            cv_integrate(lambda x: x[:, :2], 2, spec, q.Tolerance(1e-3), seed=1)
+
     def test_refresh_policy_runs(self):
         f = lambda x: np.prod(2.0 * x, axis=1)
         g = lambda x: x[:, :1]

@@ -228,6 +228,12 @@ class TestIntegrate:
         assert res.n == 1 << 12
         assert res.sup_tol > 1.0
 
+    @pytest.mark.parametrize("family", ["digital", "lattice"])
+    def test_generator_dimension_mismatch(self, family):
+        gen = make_generator(family, 7, 1)
+        with pytest.raises(ValueError, match="generator has dimension 7, expected 5"):
+            integrate_scalar(lambda x: x.sum(axis=1), 5, Tolerance(abs_tol=1e-3), generator=gen)
+
     def test_output_count_mismatch(self):
         with pytest.raises(ValueError, match="outputs"):
             integrate(

@@ -321,6 +321,26 @@ class TestAsianOption:
         assert (np.diff(variances) <= 1e-12).all()
         assert (A[0] > 0).all()
 
+    @pytest.mark.parametrize("monitors, maturity", [(52, 1.0), (12, 2.0), (3, 0.25)])
+    def test_path_matrix_is_fresh_eigh_factor(self, monitors, maturity):
+        opt = AsianOption(monitors=monitors, maturity=maturity)
+        lam, vec = np.linalg.eigh(opt.brownian_covariance())
+        lam, vec = lam[::-1], vec[:, ::-1]
+        vec = vec * np.sign(vec[0])[None, :]
+        expect = vec * np.sqrt(np.maximum(lam, 0.0))[None, :]
+        for _ in range(2):
+            assert np.array_equal(opt.path_matrix(), expect)
+        x = q.make_generator("digital", monitors, 7).points(0, 256).points
+        arith, geo, _ = asian_payoffs(opt)
+        before = arith(x.copy()), geo(x.copy())
+        A = opt.path_matrix()
+        assert A.flags.writeable
+        A[:] = 0.0
+        assert np.array_equal(opt.path_matrix(), expect)
+        arith, geo, _ = asian_payoffs(opt)
+        assert np.array_equal(arith(x.copy()), before[0])
+        assert np.array_equal(geo(x.copy()), before[1])
+
     def test_zero_volatility_is_deterministic(self):
         opt = AsianOption(volatility=0.0)
         x = np.random.default_rng(1).random((100, 52))

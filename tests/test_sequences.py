@@ -142,6 +142,18 @@ class TestDirectionTable:
         assert np.array_equal(b.columns, expect)
         assert not b.shift.any()
 
+    @pytest.mark.parametrize("order", [(1, 2, 52, 1024), (1024, 52, 2, 1)])
+    def test_cached_rows_match_uncached_expansion(self, order):
+        sequences._packaged_direction_columns.cache_clear()
+        rows = sequences._packaged_direction_rows(sequences._DEFAULT_DIRECTION_RESOURCE)
+        for d in order:
+            got = default_digital_generator(d).columns
+            assert got.flags.writeable
+            expect = sequences._generator_from_rows(rows, d).columns
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+        cached = sequences._packaged_direction_columns(sequences._DEFAULT_DIRECTION_RESOURCE, 1)
+        assert not cached.flags.writeable
+
     def test_packaged_table_matches_scipy_point_sets(self):
         qmc = pytest.importorskip("scipy.stats.qmc")
         d = 8
@@ -292,6 +304,44 @@ class TestLattice:
         gen = default_lattice_generator(2, m_max=10)
         with pytest.raises(IndexRangeError):
             gen.points(0, 2048)
+
+    def test_packaged_vector_parsed_once_user_text_every_call(self, monkeypatch):
+        default_lattice_generator(2)
+        calls = []
+        parse = sequences._parse_lattice_text
+        monkeypatch.setattr(
+            sequences, "_parse_lattice_text", lambda text: calls.append(text) or parse(text)
+        )
+        for d in (1, 7, 600):
+            make_generator("lattice", d, 0)
+        assert calls == []
+        assert not sequences._packaged_lattice_components(
+            sequences._DEFAULT_LATTICE_RESOURCE
+        ).flags.writeable
+        for _ in range(2):
+            with pytest.raises(LatticeVectorError, match="line 2"):
+                load_lattice_vector("1\nx\n", m_max=6)
+        assert len(calls) == 2
+
+    def test_default_lattice_generators_are_independent(self):
+        a = default_lattice_generator(7)
+        expect = a.generating_vector.copy()
+        a.generating_vector[:] = 3
+        a.shift[:] = 0.5
+        b = default_lattice_generator(7)
+        assert np.array_equal(b.generating_vector, expect)
+        assert not b.shift.any()
+
+    def test_generating_vector_components_positive_odd(self):
+        packaged = default_lattice_generator(600).generating_vector
+        assert packaged.min() >= 1 and packaged.max() < 1 << 20
+        assert (packaged % 2 == 1).all()
+        for text, index, value in (("1\n-3\n0\n", 1, -3), ("1\n3\n0\n", 2, 0), ("4\n", 0, 4),
+                                   ("1\n5\n7\n2\n", 3, 2)):
+            with pytest.raises(LatticeVectorError, match=f"component {index} is {value};"):
+                load_lattice_vector(text, m_max=20)
+        with pytest.raises(LatticeVectorError, match="component 1 is 6;"):
+            LatticeGenerator([1, 6], m_max=6)
 
     def test_vector_file_parsing(self):
         gen = load_lattice_vector("1\n17\n33\n", m_max=6)
