@@ -62,19 +62,6 @@ class ConeParams:
     def rho(self, a: int) -> float:
         return min(self.rho_scale * 2.0**-a, self.rho_cap)
 
-    def serialize(self) -> str:
-        """Flat key-value block for experiment logs."""
-        return "\n".join(
-            [
-                f"l_star={self.l_star}",
-                f"r={self.r}",
-                f"C_scale={self.bound_scale!r}",
-                f"rho_scale={self.rho_scale!r}",
-                f"rho_cap={self.rho_cap!r}",
-                f"m_max={self.m_max}",
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class IntervalEstimate:

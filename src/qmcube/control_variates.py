@@ -4,27 +4,20 @@ The integrand is replaced by h(x) = f(x) + beta . (mu_g - g(x)), which has
 the same integral for any coefficient vector beta.  For low-discrepancy
 sampling the useful beta is not the covariance-minimizing one: it is fit
 by least squares on the high-wavenumber discrete coefficients, which are
-the ones driving the data-based error bound.
+the ones driving the data-based error bound.  :func:`cv_integrate` runs
+the engine's adaptive loop on h; it only builds each level's ledger.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cone import ConeParams, error_bound, necessary_condition
-from .engine import (
-    STATUS_TOLERANCE_MET,
-    CubatureResult,
-    Tolerance,
-    _level_budget,
-    _resolve_generator,
-    optimal_estimate,
-    sup_tolerance,
-)
+# error_bound and necessary_condition stay bound here because benchmark/tracing.py wraps them by name
+from .cone import ConeParams, error_bound, necessary_condition  # noqa: F401
+from .engine import CubatureResult, Tolerance, _adapt, _resolve_generator, identity_functional
 from .ledger import CoefficientLedger, _evaluate, fwht, lattice_dft
 
 BETA_POLICIES = ("freeze-after-first-level", "refresh-each-level")
@@ -40,6 +33,8 @@ class ControlVariateSpec:
 
     def __post_init__(self):
         means = np.atleast_1d(np.asarray(self.means, dtype=np.float64))
+        if means.ndim != 1:
+            raise ValueError(f"control means must be a vector, got shape {means.shape}")
         if means.size < 1 or not np.all(np.isfinite(means)):
             raise ValueError("control means must be a nonempty finite vector")
         if self.policy not in BETA_POLICIES:
@@ -119,28 +114,27 @@ def cv_integrate(
 ) -> CvResult:
     """Adaptively integrate f with control variates.
 
-    Builds joint value caches for f and the controls; at each level the
-    combined values h = f + beta . (mu_g - g) are transformed and driven
-    through the standard stopping rule.  Under the freeze policy beta is
-    fit once at the first level; the refresh policy refits each level.
-    While beta is unchanged, only the new half of h is formed and handed
-    to the ledger, which extends the previous level's transform; the raw f
-    and g values are kept only while a later level may refit beta.
+    Runs the adaptive loop of :func:`~qmcube.engine.integrate` on the
+    combined values h = f + beta . (mu_g - g); only how a level's ledger
+    is built differs.  f and the controls are evaluated on the same point
+    blocks.  Under the freeze policy beta is fit once at the first level;
+    the refresh policy refits each level.  While beta is unchanged, only
+    the new half of h is formed and handed to the ledger, which extends the
+    previous level's transform; the raw f and g values are kept only while
+    a later level may refit beta.
     """
     cone = cone or ConeParams()
     gen = _resolve_generator(family, dimension, seed, generator)
-    top_level, status = _level_budget(cone, gen)
     transform = fwht if gen.family == "digital" else lattice_dft
 
-    start = time.perf_counter()
     f_values = np.empty((0, 1))
     g_values = np.empty((0, spec.count))
     beta = None
     fallback = False
-    violations = []
-    h_ledger = None
-    for m in range(cone.min_level, top_level + 1):
-        lo = 0 if m == cone.min_level else 1 << (m - 1)
+
+    def level(m: int, previous: CoefficientLedger | None) -> CoefficientLedger:
+        nonlocal f_values, g_values, beta, fallback
+        lo = 0 if previous is None else 1 << (m - 1)
         f_new, g_new = _evaluate((f, spec.controls), gen, lo, (1 << m) - lo)
         if f_new.shape[1] != 1:
             raise ValueError(
@@ -150,7 +144,6 @@ def cv_integrate(
             raise ValueError(
                 f"controls returned {g_new.shape[1]} outputs, expected {spec.count}"
             )
-        previous = h_ledger
         if beta is None or spec.policy == "refresh-each-level":
             f_values = np.concatenate([f_values, f_new], axis=0)
             g_values = np.concatenate([g_values, g_new], axis=0)
@@ -158,34 +151,9 @@ def cv_integrate(
                 transform(f_values[:, 0]), transform(g_values), m, cone.r
             )
             h_values = f_values[:, 0] + (spec.means - g_values) @ beta
-            h_ledger = CoefficientLedger(gen, m, h_values[:, None], r=cone.r)
-        else:
-            h_new = f_new[:, 0] + (spec.means - g_new) @ beta
-            h_ledger = CoefficientLedger(gen, m, h_new[:, None], previous, r=cone.r)
-        if previous is not None:
-            ell = m - cone.r
-            violations.extend(necessary_condition(previous, h_ledger, ell, cone))
-            violations.extend(necessary_condition(h_ledger, previous, ell, cone))
-        estimate = error_bound(h_ledger, cone)
-        v_minus = float(estimate.mu[0] - estimate.err[0])
-        v_plus = float(estimate.mu[0] + estimate.err[0])
-        worst = sup_tolerance(v_minus, v_plus, tol)
-        if worst <= 1.0:
-            status = STATUS_TOLERANCE_MET
-            break
+            return CoefficientLedger(gen, m, h_values[:, None], r=cone.r)
+        h_new = f_new[:, 0] + (spec.means - g_new) @ beta
+        return CoefficientLedger(gen, m, h_new[:, None], previous, r=cone.r)
 
-    wall_ms = 1e3 * (time.perf_counter() - start)
-    result = CubatureResult(
-        v_hat=optimal_estimate(v_minus, v_plus, tol),
-        n=h_ledger.n,
-        estimate=estimate,
-        sup_tol=worst,
-        status=status,
-        cone_violations=tuple(violations),
-        wall_ms=wall_ms,
-        seed=seed if generator is None else None,
-        family=gen.family,
-        dimension=dimension,
-        outputs=1,
-    )
+    result = _adapt(level, gen, identity_functional(), tol, cone, seed, generator)
     return CvResult(result=result, beta=beta, beta_fallback=fallback)

@@ -177,28 +177,13 @@ def _level_budget(cone: ConeParams, gen) -> tuple[int, str]:
     return cone.m_max, STATUS_BUDGET_EXHAUSTED
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    dimension: int,
-    functional: SolutionFunctional,
-    tol: Tolerance,
-    cone: ConeParams | None = None,
-    family: str = "digital",
-    seed=0,
-    generator=None,
-) -> CubatureResult:
-    """Adaptively integrate a p-output function and report v(mu).
+def _adapt(level, gen, functional, tol, cone, seed, generator) -> CubatureResult:
+    """The doubling loop of :func:`integrate`, on the ledgers ``level(m, previous)`` builds.
 
-    Doubles n = 2**m from the minimum level until the worst-case
-    tolerance over the interval the bound oracle produces is at most
-    one, or the level budget (cone.m_max, capped by the generator's
-    capacity) runs out; the status then reads "budget-exhausted", or
-    "capacity-exhausted" when the generator's capacity was the cap.  The
-    cross-level necessary condition is checked at each new level;
-    violations are recorded, not fatal.
+    ``previous`` is the ledger of level m - 1, None at the first level.  The
+    result reports ``seed`` only when ``gen`` was built from it, that is
+    when ``generator`` is None.
     """
-    cone = cone or ConeParams()
-    gen = _resolve_generator(family, dimension, seed, generator)
     top_level, status = _level_budget(cone, gen)
 
     start = time.perf_counter()
@@ -206,7 +191,7 @@ def integrate(
     ledger: CoefficientLedger | None = None
     for m in range(cone.min_level, top_level + 1):
         previous = ledger
-        ledger = build_ledger(f, gen, m, previous, r=cone.r)
+        ledger = level(m, previous)
         if ledger.outputs != functional.output_count:
             raise ValueError(
                 f"integrand produced {ledger.outputs} outputs, functional "
@@ -234,9 +219,35 @@ def integrate(
         wall_ms=wall_ms,
         seed=seed if generator is None else None,
         family=gen.family,
-        dimension=dimension,
+        dimension=gen.dimension,
         outputs=functional.output_count,
     )
+
+
+def integrate(
+    f: Callable[[np.ndarray], np.ndarray],
+    dimension: int,
+    functional: SolutionFunctional,
+    tol: Tolerance,
+    cone: ConeParams | None = None,
+    family: str = "digital",
+    seed=0,
+    generator=None,
+) -> CubatureResult:
+    """Adaptively integrate a p-output function and report v(mu).
+
+    Doubles n = 2**m from the minimum level until the worst-case
+    tolerance over the interval the bound oracle produces is at most
+    one, or the level budget (cone.m_max, capped by the generator's
+    capacity) runs out; the status then reads "budget-exhausted", or
+    "capacity-exhausted" when the generator's capacity was the cap.  The
+    cross-level necessary condition is checked at each new level;
+    violations are recorded, not fatal.
+    """
+    cone = cone or ConeParams()
+    gen = _resolve_generator(family, dimension, seed, generator)
+    level = lambda m, previous: build_ledger(f, gen, m, previous, r=cone.r)  # noqa: E731
+    return _adapt(level, gen, functional, tol, cone, seed, generator)
 
 
 def integrate_scalar(

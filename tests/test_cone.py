@@ -40,12 +40,6 @@ class TestConeParams:
         with pytest.raises(ValueError, match="must be finite"):
             ConeParams(**{field: value})
 
-    def test_serialize_keys(self):
-        text = ConeParams().serialize()
-        for key in ("l_star=", "r=", "C_scale=", "rho_scale=", "rho_cap=", "m_max="):
-            assert key in text
-        assert "rho_cap=0.5" in ConeParams(rho_cap=0.5).serialize().splitlines()
-
 
 class TestErrorBound:
     def test_constant_integrand_zero_error(self):

@@ -1,5 +1,7 @@
 """Coefficient fitting and the control-variate integration loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,12 @@ class TestCvIntegrate:
             ControlVariateSpec(controls=lambda x: x, means=[np.nan])
         with pytest.raises(ValueError):
             ControlVariateSpec(controls=lambda x: x, means=[0.5], policy="anneal")
+
+    def test_means_must_be_a_vector(self):
+        with pytest.raises(ValueError, match=r"must be a vector, got shape \(2, 1\)"):
+            ControlVariateSpec(controls=lambda x: x[:, :2], means=[[0.5], [0.5]])
+        assert ControlVariateSpec(controls=lambda x: x[:, :1], means=0.5).count == 1
+        assert ControlVariateSpec(controls=lambda x: x[:, :2], means=[0.5, 0.5]).count == 2
 
     def test_control_equal_to_integrand_collapses(self):
         f = lambda x: np.sin(x @ np.array([2.0, 3.0]))
@@ -231,6 +239,33 @@ class TestCvIntegrate:
         out = cv_integrate(f, 3, spec, q.Tolerance(1e-4), seed=11)
         assert out.result.status == "tolerance-met"
         assert abs(out.result.v_hat - 1.0) <= 1e-3
+
+    @pytest.mark.parametrize("family", ["digital", "lattice"])
+    @pytest.mark.parametrize("policy", ["freeze-after-first-level", "refresh-each-level"])
+    @pytest.mark.parametrize("abs_tol, cone", [(1e-6, None), (1e-13, ConeParams(m_max=12))])
+    def test_uninformative_control_matches_plain_run(self, family, policy, abs_tol, cone):
+        # a constant control has no energy in the fitted range, so beta falls
+        # back to zero, h equals f bit for bit, and both entry points run the
+        # same loop on the same ledgers
+        f = lambda x: np.exp(x[:, 0] + 0.5 * x[:, 1])
+        spec = ControlVariateSpec(lambda x: np.full((x.shape[0], 1), 0.5), [0.5], policy=policy)
+        tol = q.Tolerance(abs_tol)
+        cv = cv_integrate(f, 2, spec, tol, cone, family=family, seed=3)
+        plain = q.integrate_scalar(f, 2, tol, cone, family=family, seed=3)
+        assert cv.beta_fallback and np.array_equal(cv.beta, [0.0])
+        expected = {
+            (1e-6, "digital"): "tolerance-met",
+            (1e-6, "lattice"): "capacity-exhausted",
+        }.get((abs_tol, family), "budget-exhausted")
+        assert plain.status == expected
+        if expected == "tolerance-met":
+            assert plain.cone_violations
+        for field in dataclasses.fields(q.CubatureResult):
+            if field.name not in ("wall_ms", "estimate"):
+                assert getattr(cv.result, field.name) == getattr(plain, field.name), field.name
+        assert np.array_equal(cv.result.estimate.mu, plain.estimate.mu)
+        assert np.array_equal(cv.result.estimate.err, plain.estimate.err)
+        assert cv.result.estimate.n == plain.estimate.n
 
     def test_lattice_family(self):
         f = lambda x: np.cos(2 * np.pi * x[:, 0]) + x[:, 1]
