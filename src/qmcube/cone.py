@@ -49,6 +49,8 @@ class ConeParams:
             raise ValueError("bound_scale, rho_scale and rho_cap must be finite")
         if self.bound_scale <= 0:
             raise ValueError("bound_scale must be positive")
+        if self.rho_scale < 0 or self.rho_cap < 0:
+            raise ValueError("rho_scale and rho_cap must be nonnegative")
         if not self.rho(self.r) < 1.0:
             raise ValueError("rho(r) must be below one for the bound to hold")
 

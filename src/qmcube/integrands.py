@@ -70,6 +70,12 @@ class MvnProblem:
         lower = np.asarray(self.lower, dtype=np.float64)
         upper = np.asarray(self.upper, dtype=np.float64)
         cov = np.asarray(self.covariance, dtype=np.float64)
+        d = cov.shape[0] if cov.ndim else 0
+        if cov.shape != (d, d) or lower.shape != (d,) or upper.shape != (d,):
+            raise ValueError(
+                f"expected lower and upper of shape (d,) and covariance of shape (d, d), "
+                f"got {lower.shape}, {upper.shape} and {cov.shape}"
+            )
         if np.any(lower > upper):
             raise ValueError("lower limits must not exceed upper limits")
         object.__setattr__(self, "lower", lower)

@@ -9,9 +9,10 @@ level m alias to bin kappa at level m-1, so tier sums over dyadic index
 ranges are comparable across levels.
 
 A level is evaluated in blocks of at most 2**16 / d points (512 KiB of
-coordinates).  Its ledger keeps only what the next level and the error
-bound read: a digital ledger its signed coefficients and no values, a
-lattice ledger its values; neither keeps the magnitudes.
+coordinates).  Level m - 1's points are the first half of level m's, so a
+ledger transforms only the new half and extends the previous level's
+coefficients by one butterfly; it keeps its coefficients for the next
+level, and neither its values nor the magnitudes.
 """
 
 from __future__ import annotations
@@ -159,12 +160,32 @@ def magnitude_map(magnitudes: np.ndarray) -> np.ndarray:
 
 
 def _butterfly(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The last stage of :func:`fwht`: ((a + b) / 2, (a - b) / 2) in one array."""
+    """((a + b) / 2, (a - b) / 2) in one array of a's and b's common type.
+
+    For real input this is the last stage of :func:`fwht`; for complex
+    input with b already multiplied by the twiddle factors, the last
+    radix-2 decimation-in-time stage of :func:`lattice_dft`.
+    """
     h = a.shape[0]
-    out = np.empty((2 * h, a.shape[1]))
+    out = np.empty((2 * h, a.shape[1]), dtype=np.result_type(a, b))
     np.add(a, b, out=out[:h])
     np.subtract(a, b, out=out[h:])
     out /= 2
+    return out
+
+
+def _twiddle(n: int) -> np.ndarray:
+    """Column of w**kappa for kappa < n/2, with w = exp(-2 pi i / n), n >= 4.
+
+    The cosines and sines are taken for kappa < n/4 only; the second
+    quarter is w**(kappa + n/4) = -i w**kappa, an exact rotation.
+    """
+    q = n // 4
+    angle = np.arange(q) * (-2.0 * np.pi / n)
+    out = np.empty((2 * q, 1), dtype=np.complex128)
+    np.cos(angle, out=out.real[:q, 0])
+    np.sin(angle, out=out.imag[:q, 0])
+    np.multiply(out[:q], -1j, out=out[q:])
     return out
 
 
@@ -184,13 +205,14 @@ class CoefficientLedger:
     ``values`` has shape (k, p) and holds the integrand values at the
     points the ledger adds: all 2**m points, or with ``previous`` (the
     level m-1 ledger of the same generator) the 2**(m-1) new ones.  The
-    digital transform then runs on the new half only: the level-m
-    coefficients are ((a + b) / 2, (a - b) / 2) with a the previous signed
-    coefficients and b the transform of the new half, which is the last
-    butterfly stage of :func:`fwht` and gives the same bits.  A digital
-    ledger keeps its signed coefficients for the next level and no values.
-    The lattice transform runs over all 2**m values, so a lattice ledger
-    keeps them in ``values``.
+    transform then runs on the new half only: the level-m coefficients are
+    ((a + b) / 2, (a - b) / 2) with a the previous coefficients and b the
+    transform of the new half.  For a digital ledger this is the last
+    butterfly stage of :func:`fwht` and gives the same bits.  For a
+    lattice ledger b is first multiplied by w**kappa, w = exp(-2 pi i / n):
+    the previous points are the even nodes of level m and the new ones
+    the odd nodes, so this is the last radix-2 decimation-in-time stage of
+    the DFT.  The ledger keeps its coefficients for the next level.
     """
 
     def __init__(self, generator, m: int, values: np.ndarray,
@@ -209,20 +231,16 @@ class CoefficientLedger:
             or previous.outputs != values.shape[1]
         ):
             raise ValueError("previous ledger must be level m-1 for the same generator and outputs")
-        if self.family == "digital":
-            coef = fwht(values)
-            if previous is not None:
-                coef = _butterfly(previous._signed, coef)
-            # kept for the next level's butterfly
-            self._signed = coef
-        else:
-            if previous is not None:
-                values = np.concatenate([previous.values, values], axis=0)
-            self.values = values
-            coef = lattice_dft(values)
+        digital = self.family == "digital"
+        coef = fwht(values) if digital else lattice_dft(values)
+        if previous is not None:
+            if not digital:
+                coef *= _twiddle(self.n)
+            coef = _butterfly(previous._coef, coef)
+        # kept for the next level's butterfly
+        self._coef = coef
         self.mean = coef[0].real.copy()
         magnitudes = np.abs(coef)
-        del coef  # a lattice transform is not kept, so ranking runs without it
         self.tiers = tier_sums(magnitudes)
         ell = m - r
         lo, hi = (0, 1) if ell == 0 else (1 << (ell - 1), 1 << ell)
@@ -246,9 +264,7 @@ class CoefficientLedger:
 
     def coefficients(self) -> np.ndarray:
         """Signed (digital) or complex (lattice) coefficients, natural index order."""
-        if self.family == "digital":
-            return self._signed.copy()
-        return lattice_dft(self.values)
+        return self._coef.copy()
 
     def tier(self, ell: int) -> np.ndarray:
         return self.tiers[ell]

@@ -33,6 +33,11 @@ class TestConeParams:
             ConeParams(m_max=9)
         with pytest.raises(ValueError):
             ConeParams(rho_scale=20.0, rho_cap=2.0)  # rho(r) >= 1
+        # a negative inflation would make 1 + rho(a) zero in the necessary check
+        with pytest.raises(ValueError, match="nonnegative"):
+            ConeParams(rho_scale=-8.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ConeParams(rho_cap=-0.5)
 
     @pytest.mark.parametrize("field", ["bound_scale", "rho_scale", "rho_cap"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

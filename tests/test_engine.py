@@ -1,5 +1,9 @@
 """Optimal-estimator arithmetic, the adaptive loop, and the baselines."""
 
+import importlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +25,8 @@ from qmcube.engine import (
 )
 from qmcube.ledger import EvaluationError, _block_rows
 from qmcube.sequences import DirectionTableError, make_generator
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
 def grid_tol(v, v_hat, tol):
@@ -252,6 +258,24 @@ class TestIntegrate:
         assert row[header.index("status")] == "tolerance-met"
         again = integrate_scalar(lambda x: x[:, 0], 1, Tolerance(1e-4), seed=9)
         assert row[:-1] == again.csv_row()[:-1]  # identical up to wall time
+
+    @pytest.mark.parametrize(
+        "seed, row",
+        [
+            (1, "None,lattice,7,1,131072,0.5002986655963194,0.546243948339466,"
+                "tolerance-met+cone-violation-flagged"),
+            (2, "None,lattice,7,1,131072,0.500302222681392,0.5464025781856566,"
+                "tolerance-met+cone-violation-flagged"),
+        ],
+    )
+    def test_mvn_lattice_rows_match_golden(self, seed, row, monkeypatch):
+        # the benchmark's lattice workload through the doubled lattice ledger
+        monkeypatch.syspath_prepend(str(BENCHMARK))
+        workloads = importlib.import_module("workloads")
+        golden = json.loads((BENCHMARK / "golden.json").read_text(encoding="ascii"))
+        assert golden["mvn-lattice"][str(seed)]["row"] == row
+        result = workloads.WORKLOADS["mvn-lattice"].setup(seed, lambda f: f)()
+        assert ",".join(result.csv_row(include_wall_time=False)) == row
 
 
 def baseline_means_one_batch(f, dimension, strategy, repeats, n, family, seed):

@@ -1,5 +1,6 @@
 """Normal kernels, Genz transform, Bratley indices, Asian payoffs."""
 
+import re
 import warnings
 import weakref
 
@@ -151,6 +152,20 @@ class TestGenz:
     def test_limit_ordering_validated(self):
         with pytest.raises(ValueError):
             MvnProblem(lower=[1.0], upper=[0.0], covariance=[[1.0]])
+
+    @pytest.mark.parametrize(
+        "lower, upper, covariance, shapes",
+        [
+            (np.full(2, -np.inf), np.ones(2), np.eye(4), "(2,), (2,) and (4, 4)"),
+            (-1.0, np.ones(2), np.eye(2), "(), (2,) and (2, 2)"),
+            (np.zeros(3), np.ones(2), np.eye(2), "(3,), (2,) and (2, 2)"),
+            (np.zeros(2), np.ones(2), np.ones((2, 3)), "(2,), (2,) and (2, 3)"),
+            (np.zeros(1), np.ones(1), 1.0, "(1,), (1,) and ()"),
+        ],
+    )
+    def test_shapes_validated(self, lower, upper, covariance, shapes):
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            MvnProblem(lower=lower, upper=upper, covariance=covariance)
 
 
 class TestEquicorrelatedOracle:

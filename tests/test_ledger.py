@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qmcube.ledger
+from qmcube import Tolerance, integrate_scalar
 from qmcube.integrands import (
     AsianOption,
     SobolIndexProblem,
@@ -112,23 +114,29 @@ def magnitude_map_tournament(magnitudes: np.ndarray) -> np.ndarray:
 class ReferenceLedger:
     """Reference :class:`CoefficientLedger`: the arithmetic that kept everything.
 
-    It holds all 2**m values, transforms them (the digital one extends the
-    previous level's signed coefficients by one butterfly), keeps the
-    magnitudes and sums every ranked tier.
+    It holds all 2**m values, transforms them (with ``previous``, both
+    families extend the previous level's coefficients by one butterfly;
+    the lattice one first multiplies the new half's transform by
+    w**kappa, w = exp(-2 pi i / n), built as the ledger builds it so the
+    bits agree), keeps the magnitudes and sums every ranked tier.
     """
 
     def __init__(self, generator, m, values, previous=None):
         self.m = m
         self.values = values
-        if generator.family == "digital":
-            if previous is None:
-                coef = fwht(values)
-            else:
-                a, b = previous.coef, fwht(values[previous.values.shape[0] :])
-                coef = np.concatenate([a + b, a - b], axis=0)
-                coef /= 2
+        transform = fwht if generator.family == "digital" else lattice_dft
+        if previous is None:
+            coef = transform(values)
         else:
-            coef = lattice_dft(values)
+            h = previous.values.shape[0]
+            a, b = previous.coef, transform(values[h:])
+            if generator.family == "lattice":
+                # w**kappa from cosines and sines below n/4, rotated by -i above
+                angle = np.arange(h // 2) * (-2.0 * np.pi / (2 * h))
+                first = np.cos(angle) + 1j * np.sin(angle)
+                b = b * np.concatenate([first, first * -1j])[:, None]
+            coef = np.concatenate([a + b, a - b], axis=0)
+            coef /= 2
         self.coef = coef
         self.magnitudes = np.abs(coef)
         self.mean = coef[0].real.copy()
@@ -151,6 +159,12 @@ def assert_matches_reference(led, ref):
     ell = led.m - led.r
     assert np.array_equal(led.ranked_tier(ell), ref.ranked_tiers[ell])
     assert np.array_equal(led.coefficients(), ref.coef)
+
+
+def assert_close_to_full(coef, full):
+    """Doubled lattice coefficients within 1e-15 * max|X| of a full transform, per output."""
+    assert coef.shape == full.shape
+    assert np.all(np.abs(coef - full).max(axis=0) <= 1e-15 * np.abs(full).max(axis=0))
 
 
 def three_outputs(x):
@@ -321,7 +335,10 @@ class TestLedger:
             ref = ReferenceLedger(gen, m, values, ref)
             led = build_ledger(f, gen, m, led, r=4)
             assert_matches_reference(led, ref)
-        # every ranked tier, each read through a ledger that keeps it
+        # every ranked tier, each read through a ledger that keeps it; a
+        # fresh lattice transform is not the doubled one bit for bit
+        if family == "lattice":
+            ref = ReferenceLedger(gen, 12, values)
         for r in range(1, 13):
             assert_matches_reference(CoefficientLedger(gen, 12, values, r=r), ref)
 
@@ -329,9 +346,11 @@ class TestLedger:
         f = lambda x: x[:, 0] ** 2
         digital = build_ledger(f, make_generator("digital", 1, 3), 8, r=4)
         lattice = build_ledger(f, make_generator("lattice", 1, 3), 8, r=4)
-        assert not hasattr(digital, "values")
-        assert lattice.values.shape == (256, 1)
+        assert digital._coef.shape == lattice._coef.shape == (256, 1)
+        assert digital._coef.dtype == np.float64
+        assert lattice._coef.dtype == np.complex128
         for led in (digital, lattice):
+            assert not hasattr(led, "values")
             assert not hasattr(led, "magnitudes")
             with pytest.raises(ValueError, match="ranked tier m - r = 4 only"):
                 led.ranked_tier(3)
@@ -352,17 +371,50 @@ class TestLedger:
     @pytest.mark.parametrize("family", ["digital", "lattice"])
     def test_incremental_chain_equals_fwht_bitwise(self, family):
         # several levels, three outputs: each butterfly step extends the
-        # previous level's coefficients to exactly the full transform
+        # previous level's coefficients to the full transform, exactly for
+        # the digital one and to rounding for the lattice one
         gen = make_generator(family, 3, 4)
         f = lambda x: np.stack([np.exp(x[:, 0]), x[:, 1] * x[:, 2], np.sin(9 * x[:, 2])], axis=1)
         led = build_ledger(f, gen, 6, r=4)
         for m in range(7, 12):
             led = build_ledger(f, gen, m, led, r=4)
             values = f(gen.points(0, 1 << m).points)
-            full = fwht(values) if family == "digital" else lattice_dft(values)
-            assert np.array_equal(led.coefficients(), full)
-            assert np.array_equal(led.tiers, tier_sums(np.abs(full)))
-            assert np.array_equal(led.tiers, CoefficientLedger(gen, m, values, r=4).tiers)
+            fresh = CoefficientLedger(gen, m, values, r=4)
+            if family == "digital":
+                full = fwht(values)
+                assert np.array_equal(led.coefficients(), full)
+                assert np.array_equal(led.tiers, tier_sums(np.abs(full)))
+                assert np.array_equal(led.tiers, fresh.tiers)
+            else:
+                full = lattice_dft(values)
+                assert_close_to_full(led.coefficients(), full)
+                assert_close_to_full(fresh.coefficients(), full)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_lattice_doubling_matches_direct_definition(self, m):
+        # a chain of doubled lattice ledgers from level 1 against the O(n^2) sum
+        gen = randomize_lattice(default_lattice_generator(3), 40 + m)
+        led = None
+        for level in range(1, m + 1):
+            led = build_ledger(three_outputs, gen, level, led, r=1)
+        direct = lattice_dft_direct(three_outputs(gen.points(0, 1 << m).points))
+        assert np.abs(led.coefficients() - direct).max() < 1e-12
+
+    @pytest.mark.parametrize("family", ["digital", "lattice"])
+    def test_each_point_is_transformed_once(self, family, monkeypatch):
+        rows = []
+        for name in ("fwht", "lattice_dft"):
+            transform = getattr(qmcube.ledger, name)
+
+            def counted(values, transform=transform):
+                rows.append(values.shape[0])
+                return transform(values)
+
+            monkeypatch.setattr(qmcube.ledger, name, counted)
+        f = lambda x: np.exp(x[:, 0] + 0.5 * x[:, 1])
+        result = integrate_scalar(f, 2, Tolerance(1e-7), family=family, seed=5)
+        assert len(rows) == result.n.bit_length() - 10 and result.n > 1 << 10
+        assert sum(rows) == result.n
 
     def test_incremental_validates_level_and_generator(self):
         gen = make_generator("digital", 2, 9)
@@ -501,7 +553,7 @@ class TestBlockedEvaluation:
 
     def test_lattice_level_memory_grows_with_outputs_not_dimension(self):
         # The 32768 new points of the 7-dimensional Genz integrand in
-        # blocks of 8192 rows; the lattice transform holds the 65536 values.
+        # blocks of 8192 rows; the lattice transform runs on those alone.
         f = genz_integrand(equicorrelated_mvn(8, 0.5, np.ones(8)))
         assert self.level_peak(f, make_generator("lattice", 7, 1), 16) < 4e6
 
