@@ -296,7 +296,9 @@ def heuristic_baselines(
     them is guaranteed; see :func:`integrate` for the guaranteed path.
     Points are evaluated in the same bounded blocks as :func:`integrate`,
     so a non-finite value raises :class:`EvaluationError` with its point
-    index.
+    index.  ``seed`` takes anything ``np.random.default_rng`` does;
+    ``"iid-replications"`` gives replicate r the r-th of ``repeats``
+    generators spawned from it.
     """
     if repeats < 2:
         raise ValueError("at least two replicates are required")
@@ -304,8 +306,8 @@ def heuristic_baselines(
         raise ValueError("n must be positive")
     if strategy == "iid-replications":
         means = np.empty(repeats)
-        for rep in range(repeats):
-            gen = make_generator(family, dimension, seed ^ rep if seed is not None else rep)
+        for rep, rng in enumerate(np.random.default_rng(seed).spawn(repeats)):
+            gen = make_generator(family, dimension, rng)
             means[rep] = float(np.mean(_evaluate((f,), gen, 0, n)[0]))
     elif strategy == "internal-replications":
         gen = make_generator(family, dimension, seed)

@@ -78,6 +78,11 @@ class MvnProblem:
             )
         if np.any(lower > upper):
             raise ValueError("lower limits must not exceed upper limits")
+        # np.linalg.cholesky reads only the lower triangle, so an asymmetric
+        # matrix would silently stand for another problem.  The exact test
+        # spares an exactly symmetric matrix the much slower np.allclose.
+        if not ((cov == cov.T).all() or np.allclose(cov, cov.T)):
+            raise ValueError("covariance must be symmetric")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "covariance", cov)

@@ -32,6 +32,13 @@ _DEFAULT_LATTICE_M_MAX = 20
 # generator matrix (the plain radical inverse).
 _DIGIT_SHIFTS = np.arange(PRECISION - 1, -1, -1, dtype=np.uint64)
 _DIGITS = np.uint64(1) << _DIGIT_SHIFTS
+# Row r of a scramble matrix (digit r + 1) keeps the low r bits of its draw,
+# moved up to the r places left of its unit diagonal.
+_ROW_LOW_MASKS = _DIGITS[::-1] - np.uint64(1)
+_ROW_SHIFTS = np.arange(PRECISION, 0, -1, dtype=np.uint64)
+# Coordinates per block of the scramble: it bounds the work space of
+# _apply_scramble, not a setting.
+_SCRAMBLE_COORDINATES = 16
 
 
 class DirectionTableError(ValueError):
@@ -126,15 +133,29 @@ def _apply_scramble(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     ``rows[c, r]`` is the mask of row r+1 (digit r+1 of the output) of
     coordinate c's matrix; output digit r+1 of ``cols[c, j]`` is the
-    parity of ``rows[c, r] & cols[c, j]``.  One (d, 52) pass per digit
-    keeps the work space at the size of ``cols``.
+    parity of ``rows[c, r] & cols[c, j]``.  Each block of at most
+    ``_SCRAMBLE_COORDINATES`` coordinates takes four whole-array passes:
+    AND every column with every row, taking the rows last digit first so
+    that digit r+1 sits at place 51 - r; count the bits of each product;
+    keep their parity; pack the 52 parities of each column, padded with
+    zeros to 64, into one little-endian integer.  The work space is one
+    block's (block, 52, 52) products and (block, 52, 64) parity bytes,
+    about 400 KiB at any d.
     """
-    out = np.zeros_like(cols)
-    for r, shift in enumerate(_DIGIT_SHIFTS):
-        digit = np.bitwise_count(rows[:, r, None] & cols).astype(np.uint64)
-        digit &= np.uint64(1)
-        digit <<= shift
-        out |= digit
+    d = cols.shape[0]
+    block = min(d, _SCRAMBLE_COORDINATES)
+    reversed_rows = rows[:, ::-1]
+    products = np.empty((block, PRECISION, PRECISION), dtype=np.uint64)
+    parities = np.zeros((block, PRECISION, 64), dtype=np.uint8)  # places 52-63 stay 0
+    out = np.empty((d, PRECISION), dtype=np.uint64)
+    for lo in range(0, d, block):
+        k = min(block, d - lo)
+        prod, par = products[:k], parities[:k]
+        np.bitwise_and(cols[lo : lo + k, :, None], reversed_rows[lo : lo + k, None, :], out=prod)
+        np.bitwise_count(prod, out=par[:, :, :PRECISION])
+        par &= 1
+        packed = np.packbits(par.reshape(-1), bitorder="little")
+        out[lo : lo + k] = packed.view("<u8").reshape(k, PRECISION)
     return out
 
 
@@ -316,11 +337,8 @@ def _digital_template(capacity: int, dimension: int | None, row_columns) -> Digi
         raise DirectionTableError(
             f"requested dimension {dimension} exceeds table capacity {capacity}"
         )
-    cols = np.empty((dimension, PRECISION), dtype=np.uint64)
-    cols[0] = _DIGITS
-    for c in range(1, dimension):
-        cols[c] = row_columns(c)
-    return DigitalGenerator(cols)
+    cols = np.concatenate([_DIGITS, *map(row_columns, range(1, dimension))])
+    return DigitalGenerator(cols.reshape(dimension, PRECISION))
 
 
 def _generator_from_rows(rows, dimension: int | None) -> DigitalGenerator:
@@ -413,20 +431,21 @@ def randomize_digital(template: DigitalGenerator, seed) -> DigitalGenerator:
 
     Scramble matrices are lower triangular with unit diagonal, so the
     scrambled points remain a digital net; the same seed reproduces the
-    generator bit for bit (PCG64 stream).  The scramble acts on
-    ``template.columns``: a template that is itself scrambled gets a
-    second scramble on top of its own.
+    generator bit for bit (PCG64 stream: every scramble row, then every
+    shift).  The scramble acts on ``template.columns``: a template that is
+    itself scrambled gets a second scramble on top of its own.  The
+    product runs over blocks of coordinates (see ``_apply_scramble``), so
+    its work space stays about 400 KiB at any dimension.
     """
     rng = np.random.default_rng(seed)
     d = template.dimension
-    raw = rng.integers(0, 1 << PRECISION, size=(d, PRECISION), dtype=np.int64).astype(np.uint64)
-    # Row r (digit r + 1) keeps the low r bits of its draw as its entries
-    # left of the unit diagonal.
-    low = raw & (_DIGITS[::-1] - np.uint64(1))
-    rows = (low << np.arange(PRECISION, 0, -1, dtype=np.uint64)) | _DIGITS
-    shift = rng.integers(0, 1 << PRECISION, size=d, dtype=np.int64).astype(np.uint64)
-    columns = _apply_scramble(rows, template.columns)
-    return DigitalGenerator(columns, shift)
+    # Draws are below 2**52, so their int64 bits read as the same uint64.
+    rows = rng.integers(0, 1 << PRECISION, size=(d, PRECISION), dtype=np.int64).view(np.uint64)
+    rows &= _ROW_LOW_MASKS
+    rows <<= _ROW_SHIFTS
+    rows |= _DIGITS
+    shift = rng.integers(0, 1 << PRECISION, size=d, dtype=np.int64).view(np.uint64)
+    return DigitalGenerator(_apply_scramble(rows, template.columns), shift)
 
 
 def randomize_lattice(template: LatticeGenerator, seed) -> LatticeGenerator:

@@ -283,8 +283,8 @@ def baseline_means_one_batch(f, dimension, strategy, repeats, n, family, seed):
     formula the baselines used before blocked evaluation."""
     if strategy == "iid-replications":
         means = np.empty(repeats)
-        for rep in range(repeats):
-            gen = make_generator(family, dimension, seed ^ rep)
+        for rep, rng in enumerate(np.random.default_rng(seed).spawn(repeats)):
+            gen = make_generator(family, dimension, rng)
             means[rep] = float(np.mean(f(gen.points(0, n).points)))
         return means
     if strategy == "internal-replications":
@@ -338,6 +338,9 @@ class TestHeuristicBaselines:
         if strategy == "quasi-standard-error":
             gen = make_generator("digital", dimension * repeats, seed)
             target = gen.points(index, 1).points[0, 2 * dimension : 3 * dimension]
+        elif strategy == "iid-replications":
+            first = np.random.default_rng(seed).spawn(repeats)[0]
+            target = make_generator("digital", dimension, first).points(index, 1).points[0]
         else:
             target = make_generator("digital", dimension, seed).points(index, 1).points[0]
 
@@ -367,6 +370,24 @@ class TestHeuristicBaselines:
             if np.abs(out.replicate_means - res.v_hat).max() <= 3 * out.claimed_bound:
                 ok += 1
         assert ok >= 0.95 * len(seeds)
+
+    @pytest.mark.parametrize("seeds", [(0, 1), (None, None)])
+    def test_iid_replicates_are_independent(self, seeds):
+        # Spawned streams: seed 1 does not redraw seed 0's replicates in
+        # another order, and None draws fresh entropy on every call.
+        means = [
+            heuristic_baselines(product_integrand, 3, "iid-replications", 4, 256, seed=s)
+            .replicate_means
+            for s in seeds
+        ]
+        assert np.intersect1d(*means).size == 0
+
+    def test_iid_replicates_accept_seed_sequence(self):
+        out = heuristic_baselines(
+            product_integrand, 3, "iid-replications", 4, 256, seed=np.random.SeedSequence(8)
+        )
+        again = heuristic_baselines(product_integrand, 3, "iid-replications", 4, 256, seed=8)
+        assert np.array_equal(out.replicate_means, again.replicate_means)
 
     def test_dual_aligned_wave_fools_internal_replications(self):
         # constant on every node of the shifted lattice yet nonconstant as a

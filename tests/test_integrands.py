@@ -153,6 +153,12 @@ class TestGenz:
         with pytest.raises(ValueError):
             MvnProblem(lower=[1.0], upper=[0.0], covariance=[[1.0]])
 
+    @pytest.mark.parametrize("covariance", [[[1.0, 0.9], [0.0, 1.0]], [[1.0, 0.0], [0.9, 1.0]]])
+    def test_asymmetric_covariance_rejected(self, covariance):
+        # Cholesky reads the lower triangle only, so either would stand for another problem
+        with pytest.raises(ValueError, match="symmetric"):
+            MvnProblem(lower=np.full(2, -np.inf), upper=np.ones(2), covariance=covariance)
+
     @pytest.mark.parametrize(
         "lower, upper, covariance, shapes",
         [

@@ -1,7 +1,12 @@
 """Generator tests: parsing, group structure, determinism, uniformity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qmcube import sequences
 from qmcube.sequences import (
@@ -73,6 +78,29 @@ def randomize_reference(columns, seed):
         par = np.bitwise_count(rows[c][:, None] & columns[c][None, :]).astype(np.uint64)
         out[c] = ((par & np.uint64(1)) * digits[:, None]).sum(axis=0, dtype=np.uint64)
     return out, shift
+
+
+def scramble_reference(rows, cols):
+    """GF(2) product in Python integers: output digit r + 1 (place 51 - r)
+    of each column is the parity of row mask r AND the column."""
+    return np.array(
+        [
+            [sum((bin(r & c).count("1") & 1) << (51 - i) for i, r in enumerate(masks)) for c in ints]
+            for masks, ints in zip(rows.tolist(), cols.tolist())
+        ],
+        dtype=np.uint64,
+    )
+
+
+@st.composite
+def scramble_inputs(draw):
+    """Unit lower-triangular row masks and arbitrary 52-bit columns, d <= 70."""
+    d = draw(st.integers(1, 70))
+    bits52 = arrays(np.uint64, (d, 52), elements=st.integers(0, (1 << 52) - 1))
+    low = draw(bits52) & ((np.uint64(1) << np.arange(52, dtype=np.uint64)) - np.uint64(1))
+    digits = np.uint64(1) << np.arange(51, -1, -1, dtype=np.uint64)
+    rows = (low << np.arange(52, 0, -1, dtype=np.uint64)) | digits
+    return rows, draw(bits52)
 
 
 class TestDirectionTable:
@@ -196,13 +224,33 @@ class TestDigitalRandomization:
         ints = make_generator("digital", 3, 7).point_integers(0, 8)
         assert np.array_equal(ints, np.array(expect, dtype=np.uint64))
 
-    @pytest.mark.parametrize("dimension", [1, 12, 52, 1024])
+    @pytest.mark.parametrize("dimension", [1, 12, 52, 63, 64, 65, 130, 1024])
     def test_make_generator_matches_reference(self, dimension):
         for seed in (1, 7):
             gen = make_generator("digital", dimension, seed)
             cols, shift = randomize_reference(template_columns_reference(dimension), seed)
             assert np.array_equal(gen.columns, cols)
             assert np.array_equal(gen.shift, shift)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scramble_inputs())
+    def test_scramble_is_gf2_product(self, inputs):
+        rows, cols = inputs
+        out = sequences._apply_scramble(rows, cols)
+        assert out.dtype == np.uint64 and out.shape == cols.shape
+        assert np.array_equal(out, scramble_reference(rows, cols))
+
+    def test_scramble_memory_is_bounded(self):
+        # Work space is one block of coordinates, not a (d, 52, 52) product
+        # (22 MiB at d = 1024).
+        make_generator("digital", 1024, 1)  # expand the table rows first
+        tracemalloc.start()
+        try:
+            make_generator("digital", 1024, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
 
     def test_generator_shape_checks(self):
         cols = default_digital_generator(3).columns
