@@ -71,7 +71,6 @@ class IntervalEstimate:
 
     mu: np.ndarray
     err: np.ndarray
-    n: int
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def error_bound(ledger: CoefficientLedger, params: ConeParams) -> IntervalEstima
             f"level m={m} is below the minimum l_star + r = {params.min_level}"
         )
     err = params.bound_factor(m) * ledger.ranked_tier(m - params.r)
-    return IntervalEstimate(mu=ledger.mean.copy(), err=np.asarray(err, dtype=float), n=ledger.n)
+    return IntervalEstimate(mu=ledger.mean.copy(), err=np.asarray(err, dtype=float))
 
 
 def necessary_condition(

@@ -4,8 +4,9 @@ The integrand is replaced by h(x) = f(x) + beta . (mu_g - g(x)), which has
 the same integral for any coefficient vector beta.  For low-discrepancy
 sampling the useful beta is not the covariance-minimizing one: it is fit
 by least squares on the high-wavenumber discrete coefficients, which are
-the ones driving the data-based error bound.  :func:`cv_integrate` runs
-the engine's adaptive loop on h; it only builds each level's ledger.
+the ones driving the data-based error bound.  :func:`cv_integrate` fits
+beta once, at the first level, and holds it at every later level; it runs
+the engine's adaptive loop on h and only builds each level's ledger.
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ from .cone import ConeParams, error_bound, necessary_condition  # noqa: F401
 from .engine import CubatureResult, Tolerance, _adapt, _resolve_generator, identity_functional
 from .ledger import CoefficientLedger, _evaluate, fwht, lattice_dft
 
-BETA_POLICIES = ("freeze-after-first-level", "refresh-each-level")
-
 
 @dataclass(frozen=True)
 class ControlVariateSpec:
-    """Control functions with known means and the coefficient update policy."""
+    """Control functions with known means.
+
+    beta is fitted once at the first level and then held.  ``policy``
+    accepts only ``"freeze-after-first-level"``, the name of that rule; it
+    is kept only because the benchmark workloads pass it.
+    """
 
     controls: Callable[[np.ndarray], np.ndarray]
     means: np.ndarray
@@ -37,8 +41,10 @@ class ControlVariateSpec:
             raise ValueError(f"control means must be a vector, got shape {means.shape}")
         if means.size < 1 or not np.all(np.isfinite(means)):
             raise ValueError("control means must be a nonempty finite vector")
-        if self.policy not in BETA_POLICIES:
-            raise ValueError(f"unknown beta policy {self.policy!r}; expected {BETA_POLICIES}")
+        if self.policy != "freeze-after-first-level":
+            raise ValueError(
+                f"unknown beta policy {self.policy!r}; the only policy is 'freeze-after-first-level'"
+            )
         object.__setattr__(self, "means", means)
 
     @property
@@ -117,23 +123,20 @@ def cv_integrate(
     Runs the adaptive loop of :func:`~qmcube.engine.integrate` on the
     combined values h = f + beta . (mu_g - g); only how a level's ledger
     is built differs.  f and the controls are evaluated on the same point
-    blocks.  Under the freeze policy beta is fit once at the first level;
-    the refresh policy refits each level.  While beta is unchanged, only
-    the new half of h is formed and handed to the ledger, which extends the
-    previous level's transform; the raw f and g values are kept only while
-    a later level may refit beta.
+    blocks.  beta is fitted once, from the first level's coefficients, and
+    then held, so each level forms h on its new points only and hands it
+    to the ledger, which extends the previous level's transform; no raw f
+    or g values are kept.
     """
     cone = cone or ConeParams()
     gen = _resolve_generator(family, dimension, seed, generator)
     transform = fwht if gen.family == "digital" else lattice_dft
 
-    f_values = np.empty((0, 1))
-    g_values = np.empty((0, spec.count))
     beta = None
     fallback = False
 
     def level(m: int, previous: CoefficientLedger | None) -> CoefficientLedger:
-        nonlocal f_values, g_values, beta, fallback
+        nonlocal beta, fallback
         lo = 0 if previous is None else 1 << (m - 1)
         f_new, g_new = _evaluate((f, spec.controls), gen, lo, (1 << m) - lo)
         if f_new.shape[1] != 1:
@@ -144,14 +147,8 @@ def cv_integrate(
             raise ValueError(
                 f"controls returned {g_new.shape[1]} outputs, expected {spec.count}"
             )
-        if beta is None or spec.policy == "refresh-each-level":
-            f_values = np.concatenate([f_values, f_new], axis=0)
-            g_values = np.concatenate([g_values, g_new], axis=0)
-            beta, fallback = beta_qmc(
-                transform(f_values[:, 0]), transform(g_values), m, cone.r
-            )
-            h_values = f_values[:, 0] + (spec.means - g_values) @ beta
-            return CoefficientLedger(gen, m, h_values[:, None], r=cone.r)
+        if previous is None:
+            beta, fallback = beta_qmc(transform(f_new[:, 0]), transform(g_new), m, cone.r)
         h_new = f_new[:, 0] + (spec.means - g_new) @ beta
         return CoefficientLedger(gen, m, h_new[:, None], previous, r=cone.r)
 

@@ -220,7 +220,6 @@ class CoefficientLedger:
         if not 1 <= r <= m:
             raise ValueError(f"r={r} must lie in [1, m] for level m={m}")
         self.generator = generator
-        self.family = generator.family
         self.m = m
         self.r = r
         fresh = self.n if previous is None else self.n // 2
@@ -231,7 +230,7 @@ class CoefficientLedger:
             or previous.outputs != values.shape[1]
         ):
             raise ValueError("previous ledger must be level m-1 for the same generator and outputs")
-        digital = self.family == "digital"
+        digital = generator.family == "digital"
         coef = fwht(values) if digital else lattice_dft(values)
         if previous is not None:
             if not digital:

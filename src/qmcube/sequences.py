@@ -254,8 +254,8 @@ class LatticeGenerator:
     The unshifted node with index i is frac(phi2(i) * g) where phi2 is the
     base-2 radical inverse and g the integer generating vector, whose
     components must be positive and odd; the first ``2**m_max`` nodes
-    exhaust the modulus.  ``shift`` has one entry in [0, 1) per coordinate
-    (default 0).
+    exhaust the modulus, so ``max_level`` is m_max.  ``shift`` has one
+    entry in [0, 1) per coordinate (default 0).
     """
 
     family = "lattice"
@@ -276,7 +276,6 @@ class LatticeGenerator:
         if m_max < 1 or m_max > 40:
             raise LatticeVectorError(f"unsupported m_max={m_max}")
         self.generating_vector = g
-        self.m_max = m_max
         self.max_level = m_max
         d = g.size
         if shift is None:
@@ -292,9 +291,9 @@ class LatticeGenerator:
         return self.generating_vector.size
 
     def points(self, start: int, count: int) -> PointBatch:
-        if start < 0 or count < 0 or start + count > 1 << self.m_max:
+        if start < 0 or count < 0 or start + count > 1 << self.max_level:
             raise IndexRangeError(
-                f"index range [{start}, {start + count}) exceeds modulus 2^{self.m_max}"
+                f"index range [{start}, {start + count}) exceeds modulus 2^{self.max_level}"
             )
         # Node integer i is rev(i) * g mod 2**m_max, the sum of
         # g * 2**(m_max-1-b) over the set bits b of i.  The steps are scaled
@@ -304,7 +303,7 @@ class LatticeGenerator:
         # exactly.  The shift is added last; node and shift both lie in
         # [0, 1), so the sum is below 2 and mod 1 subtracts 1 where it
         # reaches 1.
-        m = self.m_max
+        m = self.max_level
         steps = self.generating_vector.astype(np.uint64)[:, None] << np.arange(
             PRECISION - 1, PRECISION - 1 - m, -1, dtype=np.uint64
         )
@@ -452,7 +451,7 @@ def randomize_lattice(template: LatticeGenerator, seed) -> LatticeGenerator:
     """Draw a uniform shift modulo 1 for every coordinate."""
     rng = np.random.default_rng(seed)
     shift = rng.random(template.dimension)
-    return LatticeGenerator(template.generating_vector, template.m_max, shift=shift)
+    return LatticeGenerator(template.generating_vector, template.max_level, shift=shift)
 
 
 def make_generator(family: str, dimension: int, seed, m_max: int = _DEFAULT_LATTICE_M_MAX):

@@ -52,7 +52,6 @@ class TestErrorBound:
         led = build_ledger(lambda x: np.full(x.shape[0], 4.2), gen, 10, r=4)
         est = error_bound(led, ConeParams())
         assert est.err[0] == 0.0
-        assert est.n == 1024
 
     def test_arithmetic_from_defaults(self):
         # err = 5 * 2^-10 * tier sum, with the tier sum pinned to 0.21

@@ -421,7 +421,7 @@ def digital_oracle(gen, i):
 
 def lattice_oracle(gen, i):
     """Node i from its definition, (rev(i) g mod 2^m) / 2^m, plus the shift mod 1."""
-    m = gen.m_max
+    m = gen.max_level
     row = []
     for c in range(gen.dimension):
         node = (rev_bits(i, m) * int(gen.generating_vector[c]) % (1 << m)) * 2.0**-m
