@@ -10,6 +10,7 @@ reports integrands that demonstrably violate the assumption.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class ConeParams:
     of the combined bound factor ``bound_scale * 2**-m``, and ``rho_scale``
     the scale of the tier-inflation product ``min(rho_scale * 2**-a,
     rho_cap)`` used by the necessary check.  ``m_max`` caps the adaptive
-    doubling.
+    doubling.  ``l_star``, ``r`` and ``m_max`` are stored as Python ints.
     """
 
     l_star: int = 6
@@ -41,6 +42,12 @@ class ConeParams:
     m_max: int = 24
 
     def __post_init__(self):
+        for name in ("l_star", "r", "m_max"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, int(operator.index(value)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.l_star < 1 or self.r < 1:
             raise ValueError("l_star and r must be positive integers")
         if self.m_max < self.l_star + self.r:

@@ -80,25 +80,6 @@ def beta_qmc(f_coefficients: np.ndarray, g_coefficients: np.ndarray, m: int, r: 
     return np.linalg.solve(gram, rhs), False
 
 
-def beta_mc(f_values: np.ndarray, g_values: np.ndarray):
-    """Covariance-minimizing coefficient estimate from plain samples."""
-    f_values = np.asarray(f_values, dtype=np.float64)
-    g_values = np.asarray(g_values, dtype=np.float64)
-    if g_values.ndim == 1:
-        g_values = g_values[:, None]
-    if f_values.size < 2:
-        raise ValueError("at least two samples are required")
-    q = g_values.shape[1]
-    gc = g_values - g_values.mean(axis=0)
-    fc = f_values - f_values.mean()
-    var = gc.T @ gc
-    cov = gc.T @ fc
-    scale = np.trace(var)
-    if scale <= 0 or np.linalg.matrix_rank(var, tol=1e-12 * scale) < q:
-        return np.zeros(q), True
-    return np.linalg.solve(var, cov), False
-
-
 @dataclass(frozen=True)
 class CvResult:
     """Adaptive run with control variates: engine result plus the beta used."""

@@ -81,10 +81,15 @@ class PointBatch:
 
 
 def _parse_direction_text(text: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Parse and validate a Joe-Kuo style table into (a, initial m values) rows."""
+    """Parse and validate a Joe-Kuo style table into (a, initial m values) rows.
+
+    Line 1 is the header; data row j (blank lines skipped) names dimension j + 2."""
     rows: list[tuple[int, tuple[int, ...]]] = []
     lines = text.splitlines()
-    for lineno, line in enumerate(lines[1:], start=2):  # header line skipped
+    header = lines[0].split() if lines else []
+    if header and header[0].lstrip("+-").isdigit():
+        raise DirectionTableError("line 1: got a data row where the header line belongs")
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split()
@@ -97,6 +102,10 @@ def _parse_direction_text(text: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
             m = [int(tok) for tok in parts[3:]]
         except ValueError as exc:
             raise DirectionTableError(f"line {lineno}: non-integer field ({exc})") from None
+        if d != len(rows) + 2:
+            raise DirectionTableError(
+                f"line {lineno}: row names dimension {d}, expected dimension {len(rows) + 2}"
+            )
         if s < 1 or len(m) != s:
             raise DirectionTableError(
                 f"line {lineno}: degree s={s} does not match {len(m)} initial values"
@@ -112,8 +121,12 @@ def _parse_direction_text(text: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=1024)
 def _columns_from_row(a: int, m_init: tuple[int, ...]) -> np.ndarray:
-    """Expand one table row into 52 direction integers (column j = input bit j)."""
+    """Expand one table row into 52 direction integers (column j = input bit j).
+
+    Cached by row contents for packaged and user tables alike, up to the
+    packaged table's size; the shared result is read-only."""
     s = len(m_init)
     # recurrence: m_k = 2 a_1 m_{k-1} ^ ... ^ 2^{s-1} a_{s-1} m_{k-s+1}
     #                   ^ 2^s m_{k-s} ^ m_{k-s}
@@ -125,7 +138,9 @@ def _columns_from_row(a: int, m_init: tuple[int, ...]) -> np.ndarray:
             mk ^= m[k - i] << i
         m.append(mk)
     # m_k has k bits; column k - 1 puts its leading bit at bit 51.
-    return np.array(m, dtype=np.uint64) << _DIGIT_SHIFTS
+    cols = np.array(m, dtype=np.uint64) << _DIGIT_SHIFTS
+    cols.flags.writeable = False
+    return cols
 
 
 def _apply_scramble(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -319,15 +334,21 @@ def load_direction_numbers(text: str, dimension: int | None = None) -> DigitalGe
     """Build an unscrambled, unshifted digital generator from table text.
 
     The text follows the Joe-Kuo layout: a header line, then one line per
-    dimension ``d s a m_1 ... m_s``.  Dimension 1 is the plain radical
-    inverse and is implicit.  ``dimension`` selects how many coordinates to
-    build (default: all listed).
+    dimension ``d s a m_1 ... m_s``, naming dimensions 2, 3, ... in order.
+    Dimension 1 is the plain radical inverse and is implicit.  ``dimension``
+    selects how many coordinates to build (default: all listed).  The text
+    is parsed and validated on every call; its rows are expanded through
+    the same cache as the packaged table's.
     """
     return _generator_from_rows(_parse_direction_text(text), dimension)
 
 
-def _digital_template(capacity: int, dimension: int | None, row_columns) -> DigitalGenerator:
-    """Generator of the radical inverse, then ``row_columns(c)`` for coordinates c >= 1."""
+def _generator_from_rows(rows, dimension: int | None) -> DigitalGenerator:
+    """Generator of the radical inverse, then the expansions of ``rows[:dimension - 1]``.
+
+    ``dimension`` defaults to the capacity ``1 + len(rows)``; the generator
+    owns a writeable copy of the cached expansions."""
+    capacity = 1 + len(rows)
     if dimension is None:
         dimension = capacity
     if dimension < 1:
@@ -336,13 +357,8 @@ def _digital_template(capacity: int, dimension: int | None, row_columns) -> Digi
         raise DirectionTableError(
             f"requested dimension {dimension} exceeds table capacity {capacity}"
         )
-    cols = np.concatenate([_DIGITS, *map(row_columns, range(1, dimension))])
+    cols = np.concatenate([_DIGITS, *(_columns_from_row(*row) for row in rows[: dimension - 1])])
     return DigitalGenerator(cols.reshape(dimension, PRECISION))
-
-
-def _generator_from_rows(rows, dimension: int | None) -> DigitalGenerator:
-    """Generator from parsed table rows, each row expanded on this call."""
-    return _digital_template(1 + len(rows), dimension, lambda c: _columns_from_row(*rows[c - 1]))
 
 
 def _parse_lattice_text(text: str) -> np.ndarray:
@@ -387,14 +403,6 @@ def _packaged_direction_rows(name: str) -> tuple[tuple[int, tuple[int, ...]], ..
 
 
 @functools.cache
-def _packaged_direction_columns(name: str, c: int) -> np.ndarray:
-    """Columns of coordinate c >= 1 of the packaged table, expanded on first use (read-only)."""
-    cols = _columns_from_row(*_packaged_direction_rows(name)[c - 1])
-    cols.flags.writeable = False
-    return cols
-
-
-@functools.cache
 def _packaged_lattice_components(name: str) -> np.ndarray:
     """The packaged generating vector, parsed once per process (read-only)."""
     comps = _parse_lattice_text(_packaged_text(name))
@@ -409,9 +417,7 @@ def default_digital_generator(dimension: int) -> DigitalGenerator:
     the first time a template needs it; every template gets its own copy
     of the columns.
     """
-    name = _DEFAULT_DIRECTION_RESOURCE
-    capacity = 1 + len(_packaged_direction_rows(name))
-    return _digital_template(capacity, dimension, lambda c: _packaged_direction_columns(name, c))
+    return _generator_from_rows(_packaged_direction_rows(_DEFAULT_DIRECTION_RESOURCE), dimension)
 
 
 def default_lattice_generator(dimension: int, m_max: int = _DEFAULT_LATTICE_M_MAX) -> LatticeGenerator:
@@ -454,10 +460,13 @@ def randomize_lattice(template: LatticeGenerator, seed) -> LatticeGenerator:
     return LatticeGenerator(template.generating_vector, template.max_level, shift=shift)
 
 
-def make_generator(family: str, dimension: int, seed, m_max: int = _DEFAULT_LATTICE_M_MAX):
-    """Randomized generator of the requested family backed by packaged data."""
+def make_generator(family: str, dimension: int, seed):
+    """Randomized generator of the requested family backed by packaged data.
+
+    ``"digital"`` scrambles the packaged direction table (``max_level`` 52);
+    ``"lattice"`` shifts the packaged generating vector (modulus 2**20)."""
     if family == "digital":
         return randomize_digital(default_digital_generator(dimension), seed)
     if family == "lattice":
-        return randomize_lattice(default_lattice_generator(dimension, m_max), seed)
+        return randomize_lattice(default_lattice_generator(dimension), seed)
     raise ValueError(f"unknown family {family!r}; expected 'digital' or 'lattice'")

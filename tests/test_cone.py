@@ -39,6 +39,17 @@ class TestConeParams:
         with pytest.raises(ValueError, match="nonnegative"):
             ConeParams(rho_cap=-0.5)
 
+    @pytest.mark.parametrize("field", ["l_star", "r", "m_max"])
+    @pytest.mark.parametrize("value", [4.0, "4", None])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ConeParams(**{field: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        p = ConeParams(l_star=np.int64(5), r=np.int32(3), m_max=np.uint8(20))
+        assert (p.l_star, p.r, p.m_max) == (5, 3, 20)
+        assert all(type(v) is int for v in (p.l_star, p.r, p.m_max))
+
     @pytest.mark.parametrize("field", ["bound_scale", "rho_scale", "rho_cap"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_scales_must_be_finite(self, field, value):

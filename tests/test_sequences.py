@@ -170,17 +170,53 @@ class TestDirectionTable:
         assert np.array_equal(b.columns, expect)
         assert not b.shift.any()
 
-    @pytest.mark.parametrize("order", [(1, 2, 52, 1024), (1024, 52, 2, 1)])
-    def test_cached_rows_match_uncached_expansion(self, order):
-        sequences._packaged_direction_columns.cache_clear()
+    def test_packaged_and_user_tables_share_one_expansion(self):
+        name = sequences._DEFAULT_DIRECTION_RESOURCE
+        text = sequences._packaged_text(name)
+        for order in ((1, 2, 52, 1024), (1024, 52, 2, 1)):
+            sequences._columns_from_row.cache_clear()
+            for d in order:
+                got = default_digital_generator(d).columns
+                assert got.flags.writeable
+                expect = load_direction_numbers(text, d).columns
+                assert got.dtype == expect.dtype and np.array_equal(got, expect)
+            # the user text's rows hit the packaged rows' entries
+            assert sequences._columns_from_row.cache_info().currsize == 1023
+        a, m_init = sequences._packaged_direction_rows(name)[0]
+        assert not sequences._columns_from_row(a, m_init).flags.writeable
+
+    def test_row_cache_is_bounded(self):
+        info = sequences._columns_from_row.cache_info()
         rows = sequences._packaged_direction_rows(sequences._DEFAULT_DIRECTION_RESOURCE)
-        for d in order:
-            got = default_digital_generator(d).columns
-            assert got.flags.writeable
-            expect = sequences._generator_from_rows(rows, d).columns
-            assert got.dtype == expect.dtype and np.array_equal(got, expect)
-        cached = sequences._packaged_direction_columns(sequences._DEFAULT_DIRECTION_RESOURCE, 1)
-        assert not cached.flags.writeable
+        assert info.maxsize >= len(rows)
+        # distinct degree-11 rows: every coefficient a, then m_2 = 3
+        lines = ["d s a m_i"]
+        for j in range(info.maxsize + 50):
+            m_init = [1, 1 + 2 * (j // 1024)] + [1] * 9
+            lines.append(f"{j + 2} 11 {j % 1024} " + " ".join(map(str, m_init)))
+        assert load_direction_numbers("\n".join(lines)).dimension == info.maxsize + 51
+        assert sequences._columns_from_row.cache_info().currsize == info.maxsize
+
+    def test_headerless_table_rejected(self):
+        with pytest.raises(DirectionTableError, match="line 1: got a data row"):
+            load_direction_numbers("2 1 0 1\n3 2 1 1 3\n")
+
+    def test_rows_must_name_dimensions_in_order(self):
+        head, *rows = JOE_KUO_HEAD.splitlines()
+        reordered = "\n".join([head, rows[3], *rows[:3], rows[4]])
+        with pytest.raises(
+            DirectionTableError, match="line 2: row names dimension 5, expected dimension 2"
+        ):
+            load_direction_numbers(reordered)
+        with pytest.raises(
+            DirectionTableError, match="line 3: row names dimension 4, expected dimension 3"
+        ):
+            load_direction_numbers("\n".join([head, rows[0], rows[2]]))
+        # blank lines are skipped and do not count as rows
+        spaced = "\n\n".join(JOE_KUO_HEAD.splitlines())
+        assert np.array_equal(
+            load_direction_numbers(spaced).columns, load_direction_numbers(JOE_KUO_HEAD).columns
+        )
 
     def test_packaged_table_matches_scipy_point_sets(self):
         qmc = pytest.importorskip("scipy.stats.qmc")
