@@ -170,18 +170,20 @@ class TestDirectionTable:
         assert np.array_equal(b.columns, expect)
         assert not b.shift.any()
 
-    def test_packaged_and_user_tables_share_one_expansion(self):
+    @pytest.mark.parametrize("order", [(1, 2, 52, 1024), (1024, 52, 2, 1)])
+    def test_cached_rows_match_uncached_expansion(self, order):
         name = sequences._DEFAULT_DIRECTION_RESOURCE
         text = sequences._packaged_text(name)
-        for order in ((1, 2, 52, 1024), (1024, 52, 2, 1)):
-            sequences._columns_from_row.cache_clear()
-            for d in order:
-                got = default_digital_generator(d).columns
-                assert got.flags.writeable
-                expect = load_direction_numbers(text, d).columns
-                assert got.dtype == expect.dtype and np.array_equal(got, expect)
-            # the user text's rows hit the packaged rows' entries
-            assert sequences._columns_from_row.cache_info().currsize == 1023
+        sequences._columns_from_row.cache_clear()
+        for d in order:
+            got = default_digital_generator(d).columns
+            assert got.flags.writeable
+            expect = template_columns_reference(d)
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+            # the user-text path shares the packaged table's expansions
+            user = load_direction_numbers(text, d).columns
+            assert user.dtype == expect.dtype and np.array_equal(user, expect)
+        assert sequences._columns_from_row.cache_info().currsize == 1023
         a, m_init = sequences._packaged_direction_rows(name)[0]
         assert not sequences._columns_from_row(a, m_init).flags.writeable
 
