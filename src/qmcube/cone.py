@@ -144,8 +144,8 @@ def necessary_condition(
     rho_right = params.rho(m_prime - ell)
     if rho_right >= 1.0:
         return []
-    lhs = ledger.tier(ell) / (1.0 + params.rho(m - ell))
-    rhs = other.tier(ell) / (1.0 - rho_right)
+    lhs = ledger.tiers[ell] / (1.0 + params.rho(m - ell))
+    rhs = other.tiers[ell] / (1.0 - rho_right)
     reports = []
     for coord in np.nonzero(lhs > rhs)[0]:
         reports.append(

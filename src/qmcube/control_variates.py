@@ -47,10 +47,6 @@ class ControlVariateSpec:
             )
         object.__setattr__(self, "means", means)
 
-    @property
-    def count(self) -> int:
-        return self.means.size
-
 
 def _stack_real(coef: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(coef):
@@ -63,8 +59,9 @@ def beta_qmc(f_coefficients: np.ndarray, g_coefficients: np.ndarray, m: int, r: 
 
     Minimizes sum over kappa in [2**(m-r-1), 2**m) of
     |f_kappa - beta . g_kappa|**2; complex coefficients are stacked into a
-    real system and the normal equations solved.  A rank-deficient system
-    falls back to beta = 0 with a flag (controls uninformative here).
+    real system solved by ``np.linalg.lstsq``.  Singular values up to 1e-6
+    times the largest count as zero; a rank-deficient system falls back to
+    beta = 0 with a flag (controls uninformative here).
     """
     lo = 1 << (m - r - 1)
     f_part = _stack_real(f_coefficients[lo:])
@@ -72,12 +69,10 @@ def beta_qmc(f_coefficients: np.ndarray, g_coefficients: np.ndarray, m: int, r: 
     if g_part.ndim == 1:
         g_part = g_part[:, None]
     q = g_part.shape[1]
-    gram = g_part.T @ g_part
-    rhs = g_part.T @ f_part
-    scale = np.trace(gram)
-    if scale <= 0 or np.linalg.matrix_rank(gram, tol=1e-12 * scale) < q:
+    beta, _, rank, _ = np.linalg.lstsq(g_part, f_part, rcond=1e-6)
+    if rank < q:
         return np.zeros(q), True
-    return np.linalg.solve(gram, rhs), False
+    return beta, False
 
 
 @dataclass(frozen=True)
@@ -124,9 +119,9 @@ def cv_integrate(
             raise ValueError(
                 f"cv_integrate takes a one-output integrand, got p = {f_new.shape[1]} outputs"
             )
-        if g_new.shape[1] != spec.count:
+        if g_new.shape[1] != spec.means.size:
             raise ValueError(
-                f"controls returned {g_new.shape[1]} outputs, expected {spec.count}"
+                f"controls returned {g_new.shape[1]} outputs, expected {spec.means.size}"
             )
         if previous is None:
             beta, fallback = beta_qmc(transform(f_new[:, 0]), transform(g_new), m, cone.r)

@@ -267,16 +267,14 @@ def integrate_scalar(
 class BaselineEstimate:
     """Replication-heuristic estimate with its non-guaranteed bound."""
 
-    strategy: str
     estimate: float
     claimed_bound: float
     replicate_means: np.ndarray
-    n: int
-    repeats: int
-    inflation: float
 
 
 BASELINE_STRATEGIES = ("iid-replications", "internal-replications", "quasi-standard-error")
+# The factor a replication heuristic applies to the spread of its replicate means.
+BASELINE_INFLATION = 1.2
 
 
 def heuristic_baselines(
@@ -285,14 +283,13 @@ def heuristic_baselines(
     strategy: str,
     repeats: int,
     n: int,
-    inflation: float = 1.2,
     family: str = "digital",
     seed=0,
 ) -> BaselineEstimate:
     """Replication heuristics: estimate plus an inflated-spread "bound".
 
     All three report the average of R replicate means and claim
-    ``inflation * std(replicate means)`` as an error bound.  None of
+    ``BASELINE_INFLATION * std(replicate means)`` as an error bound.  None of
     them is guaranteed; see :func:`integrate` for the guaranteed path.
     Points are evaluated in the same bounded blocks as :func:`integrate`,
     so a non-finite value raises :class:`EvaluationError` with its point
@@ -324,11 +321,7 @@ def heuristic_baselines(
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {BASELINE_STRATEGIES}")
     spread = float(np.std(means, ddof=1))
     return BaselineEstimate(
-        strategy=strategy,
         estimate=float(np.mean(means)),
-        claimed_bound=inflation * spread,
+        claimed_bound=BASELINE_INFLATION * spread,
         replicate_means=means,
-        n=n,
-        repeats=repeats,
-        inflation=inflation,
     )

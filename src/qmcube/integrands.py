@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -50,7 +51,8 @@ def norm_pdf(x):
 def norm_inv_cdf(u, out=None):
     """Standard normal quantile for u strictly inside (0, 1), into ``out`` if given."""
     u = np.asarray(u, dtype=np.float64)
-    if u.size and (u.min() <= 0.0 or u.max() >= 1.0):
+    # A NaN extreme fails both comparisons, so NaN is rejected too.
+    if u.size and not (u.min() > 0.0 and u.max() < 1.0):
         raise ValueError("norm_inv_cdf requires arguments strictly inside (0, 1)")
     return ndtri(u, out=out)
 
@@ -76,8 +78,9 @@ class MvnProblem:
                 f"expected lower and upper of shape (d,) and covariance of shape (d, d), "
                 f"got {lower.shape}, {upper.shape} and {cov.shape}"
             )
-        if np.any(lower > upper):
-            raise ValueError("lower limits must not exceed upper limits")
+        # A NaN limit fails the comparison, so it is rejected too.
+        if not np.all(lower <= upper):
+            raise ValueError("lower limits must not exceed upper limits, and no limit may be NaN")
         # np.linalg.cholesky reads only the lower triangle, so an asymmetric
         # matrix would silently stand for another problem.  The exact test
         # spares an exactly symmetric matrix the much slower np.allclose.
@@ -150,13 +153,18 @@ def genz_integrand(problem: MvnProblem) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
+# Relative gap between the 16- and 32-point estimates at which an interval
+# is accepted, and the bisection depth at which it is accepted regardless.
+_GL_TOL = 1e-12
+_GL_MAX_DEPTH = 40
+
+
 @functools.cache
 def _gl_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def adaptive_gauss_legendre(func, lo: float, hi: float, tol: float = 1e-10,
-                            max_depth: int = 40) -> float:
+def adaptive_gauss_legendre(func, lo: float, hi: float) -> float:
     """Adaptive Gauss-Legendre with bisection on the 16/32-point estimate gap."""
     total = 0.0
     stack = [(lo, hi, 0)]
@@ -167,7 +175,7 @@ def adaptive_gauss_legendre(func, lo: float, hi: float, tol: float = 1e-10,
         x32, w32 = _gl_rule(32)
         f32 = half * float(w32 @ func(mid + half * x32))
         f16 = half * float(w16 @ func(mid + half * x16))
-        if abs(f32 - f16) <= tol * max(1.0, abs(f32)) or depth >= max_depth:
+        if abs(f32 - f16) <= _GL_TOL * max(1.0, abs(f32)) or depth >= _GL_MAX_DEPTH:
             total += f32
         else:
             stack.append((a, mid, depth + 1))
@@ -196,7 +204,7 @@ def mvn_equicorrelated_oracle(d: int, sigma: float, upper) -> float:
         z = (b[None, :] + root * t[:, None]) / scale
         return norm_pdf(t) * np.prod(norm_cdf(z), axis=1)
 
-    return adaptive_gauss_legendre(integrand, -8.0, 8.0, tol=1e-12)
+    return adaptive_gauss_legendre(integrand, -8.0, 8.0)
 
 
 # -- Sobol' indices of the Bratley et al. function ---------------------------
@@ -288,7 +296,11 @@ def sobol_index_functional() -> SolutionFunctional:
 
 @dataclass(frozen=True)
 class AsianOption:
-    """Discretely monitored Asian call under geometric Brownian motion."""
+    """Discretely monitored Asian call under geometric Brownian motion.
+
+    Every field must be finite, ``spot`` positive, ``monitors`` at least 1,
+    and ``strike``, ``volatility`` and ``maturity`` nonnegative.
+    """
 
     spot: float = 100.0
     strike: float = 100.0
@@ -296,6 +308,18 @@ class AsianOption:
     volatility: float = 0.5
     maturity: float = 1.0
     monitors: int = 52
+
+    def __post_init__(self):
+        values = (self.spot, self.strike, self.rate, self.volatility, self.maturity, self.monitors)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"option fields must be finite, got {values}")
+        if self.monitors < 1:
+            raise ValueError(f"monitors must be at least 1, got {self.monitors}")
+        if self.spot <= 0:
+            raise ValueError(f"spot must be positive, got {self.spot}")
+        for name in ("strike", "volatility", "maturity"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     @property
     def times(self) -> np.ndarray:

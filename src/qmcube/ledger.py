@@ -265,9 +265,6 @@ class CoefficientLedger:
         """Signed (digital) or complex (lattice) coefficients, natural index order."""
         return self._coef.copy()
 
-    def tier(self, ell: int) -> np.ndarray:
-        return self.tiers[ell]
-
     def ranked_tier(self, ell: int) -> np.ndarray:
         """Ranked tier sum; only tier m - r is kept."""
         if ell != self.m - self.r:
@@ -304,9 +301,10 @@ def _evaluate(fns, generator, start: int, count: int) -> list[np.ndarray]:
             vals = np.asarray(f(batch.points), dtype=np.float64)
             if vals.ndim == 1:
                 vals = vals[:, None]
-            if vals.shape[0] != batch.count:
+            if vals.ndim != 2 or vals.shape[0] != batch.count:
                 raise ValueError(
-                    f"integrand returned {vals.shape[0]} values for {batch.count} points"
+                    f"integrand must return shape (n,) or (n, p) for n = {batch.count} "
+                    f"points, got shape {vals.shape}"
                 )
             if out[k] is None:
                 out[k] = np.empty((count, vals.shape[1]))

@@ -75,10 +75,6 @@ class PointBatch:
     def count(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
 
 def _parse_direction_text(text: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Parse and validate a Joe-Kuo style table into (a, initial m values) rows.
@@ -229,6 +225,7 @@ class DigitalGenerator:
         in bit 51.
     shift : (d,) uint64 array, optional
         Digital shift per coordinate, 52 fractional bits.  Defaults to 0.
+        Entries of both arrays must be below 2**52.
     """
 
     family = "digital"
@@ -246,6 +243,11 @@ class DigitalGenerator:
         )
         if self.shift.shape != (d,):
             raise ValueError(f"shift must have shape ({d},), got {self.shift.shape}")
+        # _unit_floats ORs the entries into a float's mantissa; a higher bit
+        # would land in its exponent or sign.
+        for name, bits in (("columns", self.columns), ("shift", self.shift)):
+            if bits.max() >= 1 << PRECISION:
+                raise ValueError(f"{name} must fit in {PRECISION} bits, below 2**{PRECISION}")
 
     @property
     def dimension(self) -> int:
@@ -330,6 +332,17 @@ class LatticeGenerator:
         return PointBatch(start=start, points=coords)
 
 
+def _select_dimension(dimension: int | None, capacity: int, error: type, capacity_name: str) -> int:
+    """``dimension``, defaulting to ``capacity``; ``error`` if it is not in [1, capacity]."""
+    if dimension is None:
+        return capacity
+    if dimension < 1:
+        raise error("dimension must be positive")
+    if dimension > capacity:
+        raise error(f"requested dimension {dimension} exceeds {capacity_name} {capacity}")
+    return dimension
+
+
 def load_direction_numbers(text: str, dimension: int | None = None) -> DigitalGenerator:
     """Build an unscrambled, unshifted digital generator from table text.
 
@@ -348,15 +361,7 @@ def _generator_from_rows(rows, dimension: int | None) -> DigitalGenerator:
 
     ``dimension`` defaults to the capacity ``1 + len(rows)``; the generator
     owns a writeable copy of the cached expansions."""
-    capacity = 1 + len(rows)
-    if dimension is None:
-        dimension = capacity
-    if dimension < 1:
-        raise DirectionTableError("dimension must be positive")
-    if dimension > capacity:
-        raise DirectionTableError(
-            f"requested dimension {dimension} exceeds table capacity {capacity}"
-        )
+    dimension = _select_dimension(dimension, 1 + len(rows), DirectionTableError, "table capacity")
     cols = np.concatenate([_DIGITS, *(_columns_from_row(*row) for row in rows[: dimension - 1])])
     return DigitalGenerator(cols.reshape(dimension, PRECISION))
 
@@ -376,14 +381,7 @@ def _parse_lattice_text(text: str) -> np.ndarray:
 
 def _lattice_from_components(comps: np.ndarray, m_max: int, dimension: int | None) -> LatticeGenerator:
     """Generator owning a copy of the first ``dimension`` components."""
-    if dimension is None:
-        dimension = comps.size
-    if dimension < 1:
-        raise LatticeVectorError("dimension must be positive")
-    if dimension > comps.size:
-        raise LatticeVectorError(
-            f"requested dimension {dimension} exceeds vector length {comps.size}"
-        )
+    dimension = _select_dimension(dimension, comps.size, LatticeVectorError, "vector length")
     return LatticeGenerator(comps[:dimension].copy(), m_max=m_max)
 
 

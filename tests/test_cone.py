@@ -83,7 +83,7 @@ class TestErrorBound:
         gen = shift_only_digital(1, 3)
         spectrum = [((96,), 1.0)]
         led = build_ledger(synthesize_integrand(gen, spectrum), gen, 11, r=4)
-        assert led.tier(7)[0] == pytest.approx(1.0, rel=1e-12)
+        assert led.tiers[7, 0] == pytest.approx(1.0, rel=1e-12)
         assert np.delete(led.tiers[:, 0], 7).max() < 1e-12
 
     def test_tier_arithmetic_on_decaying_spectrum(self):

@@ -96,8 +96,8 @@ class TestCvIntegrate:
     def test_means_must_be_a_vector(self):
         with pytest.raises(ValueError, match=r"must be a vector, got shape \(2, 1\)"):
             ControlVariateSpec(controls=lambda x: x[:, :2], means=[[0.5], [0.5]])
-        assert ControlVariateSpec(controls=lambda x: x[:, :1], means=0.5).count == 1
-        assert ControlVariateSpec(controls=lambda x: x[:, :2], means=[0.5, 0.5]).count == 2
+        assert ControlVariateSpec(controls=lambda x: x[:, :1], means=0.5).means.shape == (1,)
+        assert ControlVariateSpec(controls=lambda x: x[:, :2], means=[0.5, 0.5]).means.shape == (2,)
 
     def test_control_equal_to_integrand_collapses(self):
         f = lambda x: np.sin(x @ np.array([2.0, 3.0]))

@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from qmcube.engine import (
     sup_tolerance,
     tolerance_value,
 )
+from qmcube.integrands import adaptive_gauss_legendre, norm_inv_cdf
 from qmcube.ledger import EvaluationError, _block_rows
 from qmcube.sequences import DirectionTableError, make_generator
 
@@ -250,6 +253,15 @@ class TestIntegrate:
                 seed=0,
             )
 
+    @pytest.mark.parametrize(
+        "f, shape",
+        [(lambda x: 1.0, "()"), (lambda x: np.zeros((x.shape[0], 1, 1)), "(1024, 1, 1)")],
+    )
+    def test_integrand_shape_contract(self, f, shape):
+        message = re.escape(f"(n,) or (n, p) for n = 1024 points, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            integrate_scalar(f, 2, Tolerance(1e-3))
+
     def test_csv_row_roundtrip(self):
         res = integrate_scalar(lambda x: x[:, 0], 1, Tolerance(1e-4), seed=9)
         header = res.csv_header()
@@ -276,6 +288,39 @@ class TestIntegrate:
         assert golden["mvn-lattice"][str(seed)]["row"] == row
         result = workloads.WORKLOADS["mvn-lattice"].setup(seed, lambda f: f)()
         assert ",".join(result.csv_row(include_wall_time=False)) == row
+
+
+def keister(dimension):
+    """pi^(d/2) cos(|z| / sqrt 2) at the normal quantiles z of x: integral of
+    cos(|t|) exp(-|t|^2) over R^d."""
+
+    def f(x):
+        radius = np.linalg.norm(norm_inv_cdf(x), axis=1)
+        return np.pi ** (dimension / 2) * np.cos(radius / np.sqrt(2))
+
+    return f
+
+
+class TestHybridTolerance:
+    @pytest.mark.parametrize("family", ["digital", "lattice"])
+    @pytest.mark.parametrize("tol", [Tolerance(rel_tol=1e-3), Tolerance(1e-4, 1e-3)])
+    @pytest.mark.parametrize(
+        "dimension, truth, seeds",
+        [(3, 2.168309102165479, range(1, 11)), (8, -30.60907500355854, range(1, 4))],
+    )
+    def test_keister_meets_hybrid_tolerance(self, family, tol, dimension, truth, seeds):
+        # The truth is pi^(d/2) E[cos(R / sqrt 2)] for R ~ chi_d, a 1-D integral.
+        density = 2.0 ** (1 - dimension / 2) / math.gamma(dimension / 2)
+        chi = adaptive_gauss_legendre(
+            lambda r: density * r ** (dimension - 1) * np.exp(-r * r / 2) * np.cos(r / np.sqrt(2)),
+            0.0,
+            20.0,
+        )
+        assert np.pi ** (dimension / 2) * chi == pytest.approx(truth, rel=1e-14)
+        for seed in seeds:
+            res = integrate_scalar(keister(dimension), dimension, tol, family=family, seed=seed)
+            assert res.status == "tolerance-met", seed
+            assert abs(res.v_hat - truth) <= tol.scale(truth), seed
 
 
 def baseline_means_one_batch(f, dimension, strategy, repeats, n, family, seed):

@@ -59,6 +59,11 @@ class TestNormalKernels:
             with pytest.raises(ValueError):
                 norm_inv_cdf(np.array([bad]))
 
+    @pytest.mark.parametrize("bad", [[np.nan], [0.5, np.nan]])
+    def test_nan_rejected(self, bad):
+        with pytest.raises(ValueError, match="strictly inside"):
+            norm_inv_cdf(np.array(bad))
+
     def test_pdf_matches_cdf_slope(self):
         x = np.linspace(-3, 3, 31)
         h = 1e-6
@@ -153,6 +158,14 @@ class TestGenz:
         with pytest.raises(ValueError):
             MvnProblem(lower=[1.0], upper=[0.0], covariance=[[1.0]])
 
+    @pytest.mark.parametrize(
+        "lower, upper", [([np.nan, -np.inf], [1.0, 1.0]), ([-np.inf, -np.inf], [1.0, np.nan])]
+    )
+    def test_nan_limit_rejected(self, lower, upper):
+        # a NaN lower limit used to be read as -inf
+        with pytest.raises(ValueError, match="no limit may be NaN"):
+            MvnProblem(lower=lower, upper=upper, covariance=np.eye(2))
+
     @pytest.mark.parametrize("covariance", [[[1.0, 0.9], [0.0, 1.0]], [[1.0, 0.0], [0.9, 1.0]]])
     def test_asymmetric_covariance_rejected(self, covariance):
         # Cholesky reads the lower triangle only, so either would stand for another problem
@@ -209,7 +222,7 @@ class TestEquicorrelatedOracle:
             mvn_equicorrelated_oracle(2, 1.0, [0.0, 0.0])
 
     def test_adaptive_quadrature_on_smooth_function(self):
-        val = adaptive_gauss_legendre(lambda t: np.exp(-t * t), -8.0, 8.0, tol=1e-12)
+        val = adaptive_gauss_legendre(lambda t: np.exp(-t * t), -8.0, 8.0)
         assert val == pytest.approx(np.sqrt(np.pi), abs=1e-10)
 
 
@@ -361,6 +374,27 @@ class TestAsianOption:
         arith, geo, _ = asian_payoffs(opt)
         assert np.array_equal(arith(x.copy()), before[0])
         assert np.array_equal(geo(x.copy()), before[1])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"monitors": 0}, "monitors must be at least 1"),
+            ({"monitors": -3}, "monitors must be at least 1"),
+            ({"spot": 0.0}, "spot must be positive"),
+            ({"spot": -1.0}, "spot must be positive"),
+            ({"strike": -1.0}, "strike must be nonnegative"),
+            ({"volatility": -0.1}, "volatility must be nonnegative"),
+            ({"maturity": -1.0}, "maturity must be nonnegative"),
+            ({"rate": np.nan}, "must be finite"),
+            ({"spot": np.inf}, "must be finite"),
+            ({"strike": np.inf}, "must be finite"),
+            ({"volatility": np.nan}, "must be finite"),
+            ({"maturity": np.inf}, "must be finite"),
+        ],
+    )
+    def test_invalid_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            AsianOption(**fields)
 
     def test_zero_volatility_is_deterministic(self):
         opt = AsianOption(volatility=0.0)

@@ -301,6 +301,18 @@ class TestDigitalRandomization:
                 DigitalGenerator(bad)
         assert DigitalGenerator(cols, np.ones(3, dtype=np.uint64)).dimension == 3
 
+    @pytest.mark.parametrize("bit", [52, 55, 62, 63])
+    def test_entries_above_52_bits_rejected(self, bit):
+        # OR-ed into a float's exponent or sign, 2**55 was dropped, 2**62
+        # made NaN points and 2**63 negative ones
+        cols = default_digital_generator(1).columns
+        high = cols.copy()
+        high[0, 0] |= np.uint64(1 << bit)
+        with pytest.raises(ValueError, match="columns must fit in 52 bits"):
+            DigitalGenerator(high)
+        with pytest.raises(ValueError, match="shift must fit in 52 bits"):
+            DigitalGenerator(cols, np.array([1 << bit], dtype=np.uint64))
+
     def test_scrambled_mean_near_half(self):
         for m, d in [(10, 2), (14, 4), (16, 3)]:
             gen = randomize_digital(default_digital_generator(d), 1000 + m)
