@@ -2,28 +2,22 @@
 
 from .cone import ConeParams, IntervalEstimate, LevelTooLowError, ViolationReport, error_bound, necessary_condition
 from .engine import (
-    BaselineEstimate,
     CubatureResult,
     SolutionFunctional,
     Tolerance,
-    heuristic_baselines,
     identity_functional,
     integrate,
     integrate_scalar,
     optimal_estimate,
     sup_tolerance,
-    tolerance_value,
 )
 from .ledger import (
     CoefficientLedger,
     EvaluationError,
     TransformError,
-    aliasing_check,
     build_ledger,
     fwht,
     lattice_dft,
-    predicted_coefficients,
-    synthesize_integrand,
     tier_sums,
 )
 from .sequences import (

@@ -4,8 +4,7 @@ The sample size doubles until the worst-case value of the tolerance
 function over the data-implied interval [v-, v+] drops to one; the
 reported estimate is the minimizer of that worst case, which is a
 shrinkage of the interval midpoint toward zero whenever the relative
-tolerance is active.  The three replication heuristics from the
-literature are provided for comparison; they carry no guarantee.
+tolerance is active.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .cone import ConeParams, IntervalEstimate, ViolationReport, error_bound, necessary_condition
-from .ledger import CoefficientLedger, _evaluate, build_ledger
+from .ledger import CoefficientLedger, build_ledger
 from .sequences import make_generator
 
 STATUS_TOLERANCE_MET = "tolerance-met"
@@ -45,15 +44,6 @@ class Tolerance:
 
     def scale(self, v: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(v))
-
-
-def tolerance_value(true_v: float, v_hat: float, tol: Tolerance) -> float:
-    """Squared error over the squared active tolerance; <= 1 means success."""
-    denom = tol.scale(true_v)
-    if denom == 0.0:
-        return 0.0 if true_v == v_hat else np.inf
-    with np.errstate(over="ignore"):
-        return float(np.float64((true_v - v_hat) / denom) ** 2)
 
 
 def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
@@ -261,67 +251,3 @@ def integrate_scalar(
 ) -> CubatureResult:
     """Estimate the integral itself (identity functional)."""
     return integrate(f, dimension, identity_functional(), tol, cone, family, seed, generator)
-
-
-@dataclass(frozen=True)
-class BaselineEstimate:
-    """Replication-heuristic estimate with its non-guaranteed bound."""
-
-    estimate: float
-    claimed_bound: float
-    replicate_means: np.ndarray
-
-
-BASELINE_STRATEGIES = ("iid-replications", "internal-replications", "quasi-standard-error")
-# The factor a replication heuristic applies to the spread of its replicate means.
-BASELINE_INFLATION = 1.2
-
-
-def heuristic_baselines(
-    f: Callable[[np.ndarray], np.ndarray],
-    dimension: int,
-    strategy: str,
-    repeats: int,
-    n: int,
-    family: str = "digital",
-    seed=0,
-) -> BaselineEstimate:
-    """Replication heuristics: estimate plus an inflated-spread "bound".
-
-    All three report the average of R replicate means and claim
-    ``BASELINE_INFLATION * std(replicate means)`` as an error bound.  None of
-    them is guaranteed; see :func:`integrate` for the guaranteed path.
-    Points are evaluated in the same bounded blocks as :func:`integrate`,
-    so a non-finite value raises :class:`EvaluationError` with its point
-    index.  ``seed`` takes anything ``np.random.default_rng`` does;
-    ``"iid-replications"`` gives replicate r the r-th of ``repeats``
-    generators spawned from it.
-    """
-    if repeats < 2:
-        raise ValueError("at least two replicates are required")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if strategy == "iid-replications":
-        means = np.empty(repeats)
-        for rep, rng in enumerate(np.random.default_rng(seed).spawn(repeats)):
-            gen = make_generator(family, dimension, rng)
-            means[rep] = float(np.mean(_evaluate((f,), gen, 0, n)[0]))
-    elif strategy == "internal-replications":
-        gen = make_generator(family, dimension, seed)
-        vals = _evaluate((f,), gen, 0, n * repeats)[0]
-        means = vals.reshape(repeats, -1).mean(axis=1)
-    elif strategy == "quasi-standard-error":
-        gen = make_generator(family, dimension * repeats, seed)
-        # replicate r reads coordinates [r d, (r + 1) d) of the d R-dimensional points
-        slices = [
-            lambda x, lo=rep * dimension: f(x[:, lo : lo + dimension]) for rep in range(repeats)
-        ]
-        means = np.array([float(np.mean(vals)) for vals in _evaluate(slices, gen, 0, n)])
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {BASELINE_STRATEGIES}")
-    spread = float(np.std(means, ddof=1))
-    return BaselineEstimate(
-        estimate=float(np.mean(means)),
-        claimed_bound=BASELINE_INFLATION * spread,
-        replicate_means=means,
-    )

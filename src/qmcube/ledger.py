@@ -17,11 +17,9 @@ level, and neither its values nor the magnitudes.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-from .sequences import PRECISION, DigitalGenerator
 
 
 class TransformError(ValueError):
@@ -340,92 +338,3 @@ def build_ledger(
     lo = 0 if previous is None else 1 << (m - 1)
     (values,) = _evaluate((f,), generator, lo, (1 << m) - lo)
     return CoefficientLedger(generator, m, values, previous, r=r)
-
-
-# -- sparse-spectrum diagnostics ------------------------------------------
-#
-# A spectrum is a sequence of (wavenumber, amplitude) pairs.  For a digital
-# generator the wavenumber is a tuple of nonnegative Walsh indices (one per
-# coordinate) and amplitudes must be real; for a lattice generator it is a
-# tuple of integers (negative allowed) and amplitudes may be complex as
-# long as the resulting function is real (conjugate-symmetric spectrum).
-
-Spectrum = Sequence[tuple[tuple[int, ...], complex]]
-
-
-def _walsh_digit_rep(k: int) -> int:
-    """52-bit digit representation of a Walsh index (bit a -> digit a + 1)."""
-    if k < 0 or k >= 1 << PRECISION:
-        raise ValueError(f"Walsh index {k} out of range")
-    return int(format(k, f"0{PRECISION}b")[::-1], 2)
-
-
-def synthesize_integrand(generator, spectrum: Spectrum) -> Callable[[np.ndarray], np.ndarray]:
-    """Function on [0,1)^d whose exact expansion is the given sparse spectrum."""
-    if isinstance(generator, DigitalGenerator):
-        reps = [
-            [_walsh_digit_rep(kc) for kc in wav] for wav, _ in spectrum
-        ]
-        amps = np.array([amp for _, amp in spectrum])
-        if np.abs(amps.imag).max(initial=0.0) > 1e-14:
-            raise ValueError("digital (Walsh) spectra must have real amplitudes")
-
-        def f(x: np.ndarray) -> np.ndarray:
-            ints = np.round(x * 2.0**PRECISION).astype(np.uint64)
-            total = np.zeros(x.shape[0])
-            for rep, amp in zip(reps, amps.real):
-                par = np.zeros(x.shape[0], dtype=np.uint64)
-                for c, kc in enumerate(rep):
-                    par ^= np.bitwise_count(ints[:, c] & np.uint64(kc)).astype(np.uint64)
-                total += amp * (1.0 - 2.0 * (par & np.uint64(1)).astype(np.float64))
-            return total
-
-        return f
-
-    waves = np.array([wav for wav, _ in spectrum], dtype=np.float64)
-    amps = np.array([amp for _, amp in spectrum])
-
-    def f(x: np.ndarray) -> np.ndarray:
-        phases = np.exp(2j * np.pi * (x @ waves.T))
-        total = phases @ amps
-        if np.abs(total.imag).max(initial=0.0) > 1e-9:
-            raise ValueError("lattice spectrum is not conjugate symmetric")
-        return total.real
-
-    return f
-
-
-def predicted_coefficients(generator, spectrum: Spectrum, m: int) -> np.ndarray:
-    """Level-m discrete coefficients implied by the aliasing identity.
-
-    Every spectrum term lands in the bin given by its wavenumber's residue
-    for the first 2**m points, multiplied by the phase the shift induces;
-    terms sharing a bin add up.
-    """
-    out = np.zeros(1 << m, dtype=np.complex128)
-    if isinstance(generator, DigitalGenerator):
-        mask = (1 << m) - 1
-        for wav, amp in spectrum:
-            full = 0
-            sign = 0
-            for c, kc in enumerate(wav):
-                rep = np.uint64(_walsh_digit_rep(kc))
-                for j in range(PRECISION):
-                    if int(rep & generator.columns[c, j]).bit_count() & 1:
-                        full ^= 1 << j
-                sign ^= int(rep & generator.shift[c]).bit_count() & 1
-            out[full & mask] += amp * (1.0 - 2.0 * sign)
-        return out
-    g = generator.generating_vector
-    for wav, amp in spectrum:
-        residue = int(np.dot(wav, g[: len(wav)])) % (1 << m)
-        phase = np.exp(2j * np.pi * (float(np.dot(wav, generator.shift[: len(wav)])) % 1.0))
-        out[residue] += amp * phase
-    return out
-
-
-def aliasing_check(ledger: CoefficientLedger, spectrum: Spectrum) -> float:
-    """Max deviation between the ledger's coefficients and the aliasing sums."""
-    observed = ledger.coefficients()[:, 0]
-    predicted = predicted_coefficients(ledger.generator, spectrum, ledger.m)
-    return float(np.abs(observed - predicted).max())

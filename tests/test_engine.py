@@ -14,20 +14,17 @@ from hypothesis import strategies as st
 import qmcube as q
 from qmcube.cone import ConeParams
 from qmcube.engine import (
-    BASELINE_STRATEGIES,
-    BaselineEstimate,
     Tolerance,
-    heuristic_baselines,
     identity_functional,
     integrate,
     integrate_scalar,
     optimal_estimate,
     sup_tolerance,
-    tolerance_value,
 )
 from qmcube.integrands import adaptive_gauss_legendre, norm_inv_cdf
 from qmcube.ledger import EvaluationError, _block_rows
 from qmcube.sequences import DirectionTableError, make_generator
+from oracles import BASELINE_STRATEGIES, BaselineEstimate, heuristic_baselines, tolerance_value
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 

@@ -22,13 +22,10 @@ from qmcube.ledger import (
     _bit_reversal,
     _block_rows,
     _evaluate,
-    aliasing_check,
     build_ledger,
     fwht,
     lattice_dft,
     magnitude_map,
-    predicted_coefficients,
-    synthesize_integrand,
     tier_sums,
 )
 from qmcube.sequences import (
@@ -38,6 +35,7 @@ from qmcube.sequences import (
     randomize_digital,
     randomize_lattice,
 )
+from oracles import aliasing_check, predicted_coefficients, synthesize_integrand
 
 
 def fwht_direct(values: np.ndarray) -> np.ndarray:
