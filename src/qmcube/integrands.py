@@ -165,7 +165,11 @@ def _gl_rule(order: int):
 
 
 def adaptive_gauss_legendre(func, lo: float, hi: float) -> float:
-    """Adaptive Gauss-Legendre with bisection on the 16/32-point estimate gap."""
+    """Adaptive Gauss-Legendre with bisection on the 16/32-point estimate gap.
+
+    A non-finite estimate on any interval raises ``ValueError``: its gap
+    never closes, so bisection would go on to depth ``_GL_MAX_DEPTH``.
+    """
     total = 0.0
     stack = [(lo, hi, 0)]
     while stack:
@@ -175,6 +179,8 @@ def adaptive_gauss_legendre(func, lo: float, hi: float) -> float:
         x32, w32 = _gl_rule(32)
         f32 = half * float(w32 @ func(mid + half * x32))
         f16 = half * float(w16 @ func(mid + half * x16))
+        if not (math.isfinite(f32) and math.isfinite(f16)):
+            raise ValueError(f"non-finite quadrature estimate on [{a!r}, {b!r}]")
         if abs(f32 - f16) <= _GL_TOL * max(1.0, abs(f32)) or depth >= _GL_MAX_DEPTH:
             total += f32
         else:
@@ -195,6 +201,8 @@ def mvn_equicorrelated_oracle(d: int, sigma: float, upper) -> float:
     b = np.asarray(upper, dtype=np.float64)
     if b.size != d:
         raise ValueError("upper must have length d")
+    if np.isnan(b).any():
+        raise ValueError("no upper limit may be NaN")
     if sigma == 0.0:
         return float(np.prod(norm_cdf(b)))
     root = np.sqrt(sigma)

@@ -16,6 +16,7 @@ are generated in natural index order.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -290,6 +291,7 @@ class LatticeGenerator:
                 f"generating vector component {bad[0]} is {g[bad[0]]}; "
                 "every component must be a positive odd integer"
             )
+        m_max = _integer_argument("m_max", m_max, LatticeVectorError)
         if m_max < 1 or m_max > 40:
             raise LatticeVectorError(f"unsupported m_max={m_max}")
         self.generating_vector = g
@@ -332,10 +334,19 @@ class LatticeGenerator:
         return PointBatch(start=start, points=coords)
 
 
+def _integer_argument(name: str, value, error: type) -> int:
+    """``value`` as a Python int; ``error`` naming the argument if it is no integer."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def _select_dimension(dimension: int | None, capacity: int, error: type, capacity_name: str) -> int:
-    """``dimension``, defaulting to ``capacity``; ``error`` if it is not in [1, capacity]."""
+    """``dimension``, defaulting to ``capacity``; ``error`` if it is not an integer in [1, capacity]."""
     if dimension is None:
         return capacity
+    dimension = _integer_argument("dimension", dimension, error)
     if dimension < 1:
         raise error("dimension must be positive")
     if dimension > capacity:

@@ -225,6 +225,17 @@ class TestEquicorrelatedOracle:
         val = adaptive_gauss_legendre(lambda t: np.exp(-t * t), -8.0, 8.0)
         assert val == pytest.approx(np.sqrt(np.pi), abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_adaptive_quadrature_rejects_non_finite_values(self, bad):
+        # the 16/32-point gap never closes where the integrand is not
+        # finite, so bisection used to run on towards 2**40 intervals
+        with pytest.raises(ValueError, match="non-finite quadrature estimate"):
+            adaptive_gauss_legendre(lambda t: np.where(t > 1.0, bad, 1.0), -8.0, 8.0)
+
+    def test_nan_limit_rejected(self):
+        with pytest.raises(ValueError, match="no upper limit may be NaN"):
+            mvn_equicorrelated_oracle(3, 0.5, [np.nan, 0.0, 0.0])
+
 
 class TestBratley:
     def test_corners(self):

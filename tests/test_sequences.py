@@ -548,3 +548,28 @@ def test_make_generator_families():
     assert make_generator("lattice", 3, 0).family == "lattice"
     with pytest.raises(ValueError):
         make_generator("halton", 3, 0)
+
+
+@pytest.mark.parametrize("family,error", [("digital", DirectionTableError), ("lattice", LatticeVectorError)])
+def test_dimension_must_be_an_integer(family, error):
+    for bad in (2.0, 2.5, "2"):
+        with pytest.raises(error, match="dimension must be an integer"):
+            make_generator(family, bad, 1)
+    ref = make_generator(family, 2, 1)
+    for ok in (np.int64(2), np.uint8(2)):
+        gen = make_generator(family, ok, 1)
+        assert np.array_equal(gen.points(0, 64).points, ref.points(0, 64).points)
+
+
+def test_lattice_m_max_must_be_an_integer():
+    for bad in (20.0, "20"):
+        with pytest.raises(LatticeVectorError, match="m_max must be an integer"):
+            LatticeGenerator([1, 3], m_max=bad)
+    with pytest.raises(LatticeVectorError, match="m_max must be an integer"):
+        load_lattice_vector("1\n3\n", m_max=6.0)
+    with pytest.raises(LatticeVectorError, match="m_max must be an integer"):
+        default_lattice_generator(2, m_max=10.0)
+    ref = LatticeGenerator([1, 3], m_max=20, shift=[0.25, 0.5])
+    gen = LatticeGenerator([1, 3], m_max=np.int64(20), shift=[0.25, 0.5])
+    assert type(gen.max_level) is int
+    assert np.array_equal(gen.points(0, 64).points, ref.points(0, 64).points)
