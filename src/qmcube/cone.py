@@ -10,12 +10,12 @@ reports integrands that demonstrably violate the assumption.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ledger import CoefficientLedger
+from .sequences import _integer_argument
 
 
 class LevelTooLowError(ValueError):
@@ -43,11 +43,7 @@ class ConeParams:
 
     def __post_init__(self):
         for name in ("l_star", "r", "m_max"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, int(operator.index(value)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer_argument(name, getattr(self, name), ValueError))
         if self.l_star < 1 or self.r < 1:
             raise ValueError("l_star and r must be positive integers")
         if self.m_max < self.l_star + self.r:

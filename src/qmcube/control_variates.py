@@ -58,16 +58,15 @@ def beta_qmc(f_coefficients: np.ndarray, g_coefficients: np.ndarray, m: int, r: 
     """Least-squares coefficient fit on the top high-wavenumber tiers.
 
     Minimizes sum over kappa in [2**(m-r-1), 2**m) of
-    |f_kappa - beta . g_kappa|**2; complex coefficients are stacked into a
-    real system solved by ``np.linalg.lstsq``.  Singular values up to 1e-6
-    times the largest count as zero; a rank-deficient system falls back to
-    beta = 0 with a flag (controls uninformative here).
+    |f_kappa - beta . g_kappa|**2, where ``g_coefficients`` has one column
+    per control; complex coefficients are stacked into a real system
+    solved by ``np.linalg.lstsq``.  Singular values up to 1e-6 times the
+    largest count as zero; a rank-deficient system falls back to beta = 0
+    with a flag (controls uninformative here).
     """
     lo = 1 << (m - r - 1)
     f_part = _stack_real(f_coefficients[lo:])
     g_part = _stack_real(g_coefficients[lo:])
-    if g_part.ndim == 1:
-        g_part = g_part[:, None]
     q = g_part.shape[1]
     beta, _, rank, _ = np.linalg.lstsq(g_part, f_part, rcond=1e-6)
     if rank < q:
@@ -124,7 +123,9 @@ def cv_integrate(
                 f"controls returned {g_new.shape[1]} outputs, expected {spec.means.size}"
             )
         if previous is None:
-            beta, fallback = beta_qmc(transform(f_new[:, 0]), transform(g_new), m, cone.r)
+            # one transform of f and the controls together; it acts column by column
+            coef = transform(np.concatenate((f_new, g_new), axis=1))
+            beta, fallback = beta_qmc(coef[:, 0], coef[:, 1:], m, cone.r)
         h_new = f_new[:, 0] + (spec.means - g_new) @ beta
         return CoefficientLedger(gen, m, h_new[:, None], previous, r=cone.r)
 

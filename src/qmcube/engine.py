@@ -120,11 +120,6 @@ class CubatureResult:
             flags += (FLAG_CONE_VIOLATION,)
         return flags
 
-    @staticmethod
-    def csv_header(include_wall_time: bool = True) -> list[str]:
-        cols = ["seed", "family", "d", "p", "n", "v_hat", "sup_tol", "status"]
-        return cols + (["wall_ms"] if include_wall_time else [])
-
     def csv_row(self, include_wall_time: bool = True) -> list[str]:
         row = [
             str(self.seed),

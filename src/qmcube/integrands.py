@@ -37,10 +37,10 @@ _ONE_BELOW = np.nextafter(1.0, 0.0)
 
 # -- normal kernels ---------------------------------------------------------
 
-def norm_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * erfc(-x / _SQRT2)
+def norm_cdf(x, out=None):
+    """Standard normal CDF via the complementary error function, into ``out`` if given."""
+    z = np.divide(x, -_SQRT2, out=out)
+    return np.multiply(erfc(z, out=out), 0.5, out=out)
 
 
 def norm_pdf(x):
@@ -116,14 +116,10 @@ def genz_integrand(problem: MvnProblem) -> Callable[[np.ndarray], np.ndarray]:
     finite_a, finite_b = np.isfinite(a), np.isfinite(b)
 
     def cdf(i: int, limit: float, partial: np.ndarray) -> np.ndarray:
-        # norm_cdf((limit - partial) / L[i, i]) in place on one fresh
-        # array; -x / sqrt(2) == x / -sqrt(2) exactly
+        # norm_cdf((limit - partial) / L[i, i]) in place on one fresh array
         z = limit - partial
         z /= L[i, i]
-        z /= -_SQRT2
-        erfc(z, out=z)
-        z *= 0.5
-        return z
+        return norm_cdf(z, out=z)
 
     def f(x: np.ndarray) -> np.ndarray:
         n = x.shape[0]

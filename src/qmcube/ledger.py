@@ -309,12 +309,12 @@ def _evaluate(fns, generator, start: int, count: int) -> list[np.ndarray]:
             elif vals.shape[1] != out[k].shape[1]:
                 raise ValueError(
                     f"integrand returned {vals.shape[1]} outputs at point index "
-                    f"{batch.start}, after {out[k].shape[1]} before it"
+                    f"{start + lo}, after {out[k].shape[1]} before it"
                 )
             finite = np.isfinite(vals)
             if not finite.all():
                 where = int(np.nonzero(~finite.all(axis=1))[0][0])
-                raise EvaluationError(batch.start + where, vals[where])
+                raise EvaluationError(start + lo + where, vals[where])
             out[k][lo : lo + batch.count] = vals
     return out
 

@@ -58,11 +58,9 @@ class IndexRangeError(ValueError):
 class PointBatch:
     """A contiguous block of sequence points.
 
-    Row ``i`` holds the point with global index ``start + i``; all
-    coordinates lie in [0, 1).  ``points`` is read-only.
+    All coordinates lie in [0, 1).  ``points`` is read-only.
     """
 
-    start: int
     points: np.ndarray
 
     def __post_init__(self):
@@ -171,6 +169,11 @@ def _apply_scramble(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_index_range(start: int, count: int, max_level: int) -> None:
+    if start < 0 or count < 0 or start + count > 1 << max_level:
+        raise IndexRangeError(f"index range [{start}, {start + count}) exceeds capacity 2^{max_level}")
+
+
 def _dyadic_blocks(start: int, count: int):
     """Split [start, start + count) into aligned blocks (s, size): size = 2**k divides s."""
     while count:
@@ -257,13 +260,12 @@ class DigitalGenerator:
     def point_integers(self, start: int, count: int) -> np.ndarray:
         """Shifted points as 52-bit integers, shape (count, d): index i is
         the shift XOR the columns of i's set bits."""
-        if start < 0 or count < 0 or start + count > 1 << PRECISION:
-            raise IndexRangeError(f"index range [{start}, {start + count}) out of bounds")
+        _check_index_range(start, count, self.max_level)
         return _doubled_points(start, count, self.columns, self.shift, np.bitwise_xor).T
 
     def points(self, start: int, count: int) -> PointBatch:
         """Generate points x_i = C z_i xor shift in natural order."""
-        return PointBatch(start=start, points=_unit_floats(self.point_integers(start, count)))
+        return PointBatch(_unit_floats(self.point_integers(start, count)))
 
 
 class LatticeGenerator:
@@ -310,10 +312,7 @@ class LatticeGenerator:
         return self.generating_vector.size
 
     def points(self, start: int, count: int) -> PointBatch:
-        if start < 0 or count < 0 or start + count > 1 << self.max_level:
-            raise IndexRangeError(
-                f"index range [{start}, {start + count}) exceeds modulus 2^{self.max_level}"
-            )
+        _check_index_range(start, count, self.max_level)
         # Node integer i is rev(i) * g mod 2**m_max, the sum of
         # g * 2**(m_max-1-b) over the set bits b of i.  The steps are scaled
         # by 2**(52-m_max), so the sums hold node * 2**(52-m_max), the
@@ -331,7 +330,7 @@ class LatticeGenerator:
         coords = _unit_floats(nodes)
         coords += self.shift
         coords -= coords >= 1.0
-        return PointBatch(start=start, points=coords)
+        return PointBatch(coords)
 
 
 def _integer_argument(name: str, value, error: type) -> int:
@@ -429,14 +428,14 @@ def default_digital_generator(dimension: int) -> DigitalGenerator:
     return _generator_from_rows(_packaged_direction_rows(_DEFAULT_DIRECTION_RESOURCE), dimension)
 
 
-def default_lattice_generator(dimension: int, m_max: int = _DEFAULT_LATTICE_M_MAX) -> LatticeGenerator:
-    """Unshifted template backed by the packaged generating vector.
+def default_lattice_generator(dimension: int) -> LatticeGenerator:
+    """Unshifted template backed by the packaged generating vector (modulus 2**20).
 
     The vector is parsed once per process; every template gets its own
     copy of the first ``dimension`` components.
     """
     return _lattice_from_components(
-        _packaged_lattice_components(_DEFAULT_LATTICE_RESOURCE), m_max, dimension
+        _packaged_lattice_components(_DEFAULT_LATTICE_RESOURCE), _DEFAULT_LATTICE_M_MAX, dimension
     )
 
 

@@ -207,11 +207,11 @@ class TestCvIntegrate:
     def test_capacity_exhausted_and_too_little_capacity(self):
         f = lambda x: x[:, 0] ** 2
         spec = ControlVariateSpec(controls=lambda x: x[:, :1], means=[0.5])
-        gen = q.default_lattice_generator(2, m_max=12)
+        gen = q.LatticeGenerator(q.default_lattice_generator(2).generating_vector, m_max=12)
         out = cv_integrate(f, 2, spec, q.Tolerance(1e-12), generator=gen)
         assert out.result.status == "capacity-exhausted"
         assert out.result.n == 1 << 12
-        small = q.default_lattice_generator(2, m_max=8)
+        small = q.LatticeGenerator(q.default_lattice_generator(2).generating_vector, m_max=8)
         message = "generator supports levels up to 8, below the minimum level 10"
         with pytest.raises(ValueError, match=message):
             cv_integrate(f, 2, spec, q.Tolerance(1e-3), generator=small)

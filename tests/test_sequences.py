@@ -399,7 +399,7 @@ class TestLattice:
         assert np.array_equal(gen.points(0, 64).points, gen.points(0, 128).points[:64])
 
     def test_capacity(self):
-        gen = default_lattice_generator(2, m_max=10)
+        gen = LatticeGenerator(default_lattice_generator(2).generating_vector, m_max=10)
         with pytest.raises(IndexRangeError):
             gen.points(0, 2048)
 
@@ -482,7 +482,10 @@ def lattice_oracle(gen, i):
 
 BLOCK_GENERATORS = {
     "digital": (lambda: randomize_digital(default_digital_generator(5), 31), digital_oracle),
-    "lattice": (lambda: randomize_lattice(default_lattice_generator(5, m_max=22), 31), lattice_oracle),
+    "lattice": (
+        lambda: randomize_lattice(LatticeGenerator(default_lattice_generator(5).generating_vector, m_max=22), 31),
+        lattice_oracle,
+    ),
 }
 
 
@@ -567,8 +570,6 @@ def test_lattice_m_max_must_be_an_integer():
             LatticeGenerator([1, 3], m_max=bad)
     with pytest.raises(LatticeVectorError, match="m_max must be an integer"):
         load_lattice_vector("1\n3\n", m_max=6.0)
-    with pytest.raises(LatticeVectorError, match="m_max must be an integer"):
-        default_lattice_generator(2, m_max=10.0)
     ref = LatticeGenerator([1, 3], m_max=20, shift=[0.25, 0.5])
     gen = LatticeGenerator([1, 3], m_max=np.int64(20), shift=[0.25, 0.5])
     assert type(gen.max_level) is int
