@@ -50,8 +50,9 @@ def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
     """Estimate minimizing the worst-case tolerance over [v-, v+].
 
     Weighted average of the endpoints, each weighted by the tolerance
-    scale at the opposite endpoint; lies in [v-, v+] and shrinks toward
-    zero under a relative criterion.
+    scale at the opposite endpoint; shrinks toward zero under a relative
+    criterion.  The average is clipped to [v-, v+], which its rounding can
+    leave when the products underflow.
     """
     if v_minus > v_plus:
         raise ValueError("v_minus must not exceed v_plus")
@@ -64,7 +65,7 @@ def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
         # relative weights underflowed; they are proportional to |v -+|
         w_minus, w_plus = abs(v_plus), abs(v_minus)
         denom = w_minus + w_plus
-    return (v_minus * w_minus + v_plus * w_plus) / denom
+    return min(max((v_minus * w_minus + v_plus * w_plus) / denom, v_minus), v_plus)
 
 
 def sup_tolerance(v_minus: float, v_plus: float, tol: Tolerance) -> float:

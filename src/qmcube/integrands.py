@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import erfc, ndtri
 
 from .engine import SolutionFunctional
+from .sequences import _integer_argument
 
 log = logging.getLogger(__name__)
 
@@ -241,6 +242,8 @@ class SobolIndexProblem:
     dimension: int
 
     def __post_init__(self):
+        for name in ("coordinate", "dimension"):
+            object.__setattr__(self, name, _integer_argument(name, getattr(self, name), ValueError))
         if not 1 <= self.coordinate <= self.dimension:
             raise ValueError("coordinate index out of range")
 
@@ -302,8 +305,9 @@ def sobol_index_functional() -> SolutionFunctional:
 class AsianOption:
     """Discretely monitored Asian call under geometric Brownian motion.
 
-    Every field must be finite, ``spot`` positive, ``monitors`` at least 1,
-    and ``strike``, ``volatility`` and ``maturity`` nonnegative.
+    Every field must be finite, ``spot`` positive, ``monitors`` an integer
+    of at least 1 (stored as a Python int), and ``strike``, ``volatility``
+    and ``maturity`` nonnegative.
     """
 
     spot: float = 100.0
@@ -314,6 +318,7 @@ class AsianOption:
     monitors: int = 52
 
     def __post_init__(self):
+        object.__setattr__(self, "monitors", _integer_argument("monitors", self.monitors, ValueError))
         values = (self.spot, self.strike, self.rate, self.volatility, self.maturity, self.monitors)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"option fields must be finite, got {values}")

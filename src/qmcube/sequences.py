@@ -236,14 +236,16 @@ class DigitalGenerator:
     max_level = PRECISION
 
     def __init__(self, columns, shift=None):
-        self.columns = np.asarray(columns, dtype=np.uint64)
+        self.columns = _integer_array("columns", columns, np.uint64, ValueError)
         if self.columns.ndim != 2 or self.columns.shape[0] < 1 or self.columns.shape[1] != PRECISION:
             raise ValueError(
                 f"columns must have shape (d >= 1, {PRECISION}), got {self.columns.shape}"
             )
         d = self.columns.shape[0]
         self.shift = (
-            np.zeros(d, dtype=np.uint64) if shift is None else np.asarray(shift, dtype=np.uint64)
+            np.zeros(d, dtype=np.uint64)
+            if shift is None
+            else _integer_array("shift", shift, np.uint64, ValueError)
         )
         if self.shift.shape != (d,):
             raise ValueError(f"shift must have shape ({d},), got {self.shift.shape}")
@@ -281,7 +283,7 @@ class LatticeGenerator:
     family = "lattice"
 
     def __init__(self, generating_vector, m_max: int, shift=None):
-        g = np.asarray(generating_vector, dtype=np.int64)
+        g = _integer_array("generating_vector", generating_vector, np.int64, LatticeVectorError)
         if g.ndim != 1 or g.size == 0:
             raise LatticeVectorError("generating vector must be a nonempty 1-D integer array")
         # A zero component pins its coordinate to the shift, and an even one
@@ -339,6 +341,17 @@ def _integer_argument(name: str, value, error: type) -> int:
         return int(operator.index(value))
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def _integer_array(name: str, value, dtype: type, error: type) -> np.ndarray:
+    """``value`` as an array of ``dtype``; ``error`` naming the argument if it holds no integers.
+
+    The dtype is checked before the cast, which would truncate floats and
+    parse strings."""
+    array = np.asarray(value)
+    if array.size and array.dtype.kind not in "iu":
+        raise error(f"{name} must hold integers, got dtype {array.dtype}")
+    return array.astype(dtype, copy=False)
 
 
 def _select_dimension(dimension: int | None, capacity: int, error: type, capacity_name: str) -> int:

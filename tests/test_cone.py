@@ -40,6 +40,11 @@ class TestConeParams:
         with pytest.raises(ValueError, match="nonnegative"):
             ConeParams(rho_cap=-0.5)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_bound_scale_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="bound_scale must be positive"):
+            ConeParams(bound_scale=value)
+
     @pytest.mark.parametrize("field", ["l_star", "r", "m_max"])
     @pytest.mark.parametrize("value", [4.0, "4", None])
     def test_integer_fields_reject_other_types(self, field, value):
@@ -170,3 +175,15 @@ class TestNecessaryCondition:
         led = build_ledger(lambda x: np.sin(7 * x[:, 0]), gen, 10, r=4)
         # ell = m: rho(0) = cap < 1 -> runs and passes both directions
         assert necessary_condition(led, led, 10, params) == []
+
+    def test_skipped_when_rho_reaches_one(self):
+        # tier 7 against a level-10 ledger: rho(3) is 0.625 under the
+        # defaults, which flag the pair, and 1.25 under these parameters,
+        # which leave nothing to check
+        gen = make_generator("digital", 1, 2)
+        small = build_ledger(lambda x: np.sin(7 * x[:, 0]), gen, 10, r=4)
+        large = build_ledger(lambda x: 10.0 * np.sin(7 * x[:, 0]), gen, 10, r=4)
+        assert necessary_condition(large, small, 7, ConeParams())
+        params = ConeParams(rho_scale=10.0, rho_cap=1.5)
+        assert params.rho(3) == 1.25
+        assert necessary_condition(large, small, 7, params) == []

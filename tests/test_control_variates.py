@@ -229,6 +229,11 @@ class TestCvIntegrate:
         with pytest.raises(ValueError, match="one-output integrand, got p = 2"):
             cv_integrate(lambda x: x[:, :2], 2, spec, q.Tolerance(1e-3), seed=1)
 
+    def test_control_count_must_match_means(self):
+        spec = ControlVariateSpec(controls=lambda x: x[:, :2], means=[0.5])
+        with pytest.raises(ValueError, match="controls returned 2 outputs, expected 1"):
+            cv_integrate(lambda x: x[:, 0], 2, spec, q.Tolerance(1e-3), seed=1)
+
     @pytest.mark.parametrize("family", ["digital", "lattice"])
     @pytest.mark.parametrize("abs_tol, cone", [(1e-6, None), (1e-13, ConeParams(m_max=12))])
     def test_uninformative_control_matches_plain_run(self, family, abs_tol, cone):

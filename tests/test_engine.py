@@ -24,7 +24,7 @@ from qmcube.engine import (
 from qmcube.integrands import adaptive_gauss_legendre, norm_inv_cdf
 from qmcube.ledger import EvaluationError, _block_rows
 from qmcube.sequences import DirectionTableError, make_generator
-from oracles import BASELINE_STRATEGIES, BaselineEstimate, heuristic_baselines, tolerance_value
+from oracles import BASELINE_STRATEGIES, heuristic_baselines, tolerance_value
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -84,6 +84,19 @@ class TestOptimalEstimate:
         tol = Tolerance(0.0, 0.5)
         assert optimal_estimate(0.0, 0.0, tol) == 0.0
         assert sup_tolerance(0.0, 0.0, tol) == 0.0
+
+    def test_reversed_interval_rejected(self):
+        for fn in (optimal_estimate, sup_tolerance):
+            with pytest.raises(ValueError, match="v_minus must not exceed v_plus"):
+                fn(1.0, 0.5, Tolerance(0.1, 0.1))
+
+    @pytest.mark.parametrize(
+        "v_minus, v_plus", [(5e-324, 1e-323), (-1e-323, -5e-324), (5e-324, 5e-324), (1e-323, 1.5e-323)]
+    )
+    def test_underflowing_weights_stay_in_interval(self, v_minus, v_plus):
+        # both relative weights underflow to zero and so do the endpoint
+        # products; the average used to come out as 0.0, outside [v-, v+]
+        assert v_minus <= optimal_estimate(v_minus, v_plus, Tolerance(rel_tol=0.1)) <= v_plus
 
     def test_three_case_form(self):
         # the weighted-average form agrees with the per-regime expressions

@@ -236,6 +236,10 @@ class TestEquicorrelatedOracle:
         with pytest.raises(ValueError, match="no upper limit may be NaN"):
             mvn_equicorrelated_oracle(3, 0.5, [np.nan, 0.0, 0.0])
 
+    def test_upper_length_checked(self):
+        with pytest.raises(ValueError, match="upper must have length d"):
+            mvn_equicorrelated_oracle(3, 0.5, [0.0, 0.0])
+
 
 class TestBratley:
     def test_corners(self):
@@ -356,6 +360,20 @@ class TestSobolIndexFunctional:
         with pytest.raises(ValueError):
             SobolIndexProblem(model=bratley_g, coordinate=7, dimension=6)
 
+    @pytest.mark.parametrize("fields", [{"coordinate": 1.5}, {"coordinate": "1"}, {"dimension": 6.0}])
+    def test_sizes_must_be_integers(self, fields):
+        # coordinate 1.5 used to pass the range check and fail at evaluation
+        name = next(iter(fields))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SobolIndexProblem(**{"model": bratley_g, "coordinate": 1, "dimension": 6, **fields})
+
+    def test_numpy_integer_sizes_match_int(self):
+        ref = SobolIndexProblem(bratley_g, 2, 6)
+        prob = SobolIndexProblem(bratley_g, np.int64(2), np.int32(6))
+        assert type(prob.coordinate) is int and type(prob.dimension) is int
+        x = np.random.default_rng(1).random((64, 12))
+        assert np.array_equal(prob.integrand()(x), ref.integrand()(x))
+
 
 class TestAsianOption:
     def test_path_matrix_factorizes_covariance(self):
@@ -401,6 +419,8 @@ class TestAsianOption:
             ({"strike": np.inf}, "must be finite"),
             ({"volatility": np.nan}, "must be finite"),
             ({"maturity": np.inf}, "must be finite"),
+            ({"monitors": 52.5}, "monitors must be an integer, got 52.5"),
+            ({"monitors": "52"}, "monitors must be an integer"),
         ],
     )
     def test_invalid_fields_rejected(self, fields, message):
@@ -446,6 +466,20 @@ class TestAsianOption:
         x = np.random.default_rng(3).random((8, 4))
         x[0, 0] = 0.0
         assert np.isfinite(arith(x)).all()
+
+    def test_numpy_integer_monitors_match_int(self):
+        ref, opt = AsianOption(monitors=12), AsianOption(monitors=np.int64(12))
+        assert type(opt.monitors) is int and opt == ref
+        x = q.make_generator("digital", 12, 4).points(0, 256).points
+        (a_ref, g_ref, price_ref), (a, g, price) = asian_payoffs(ref), asian_payoffs(opt)
+        assert price == price_ref
+        assert np.array_equal(a(x.copy()), a_ref(x.copy()))
+        assert np.array_equal(g(x.copy()), g_ref(x.copy()))
+
+    def test_payoffs_reject_wrong_coordinate_count(self):
+        for payoff in asian_payoffs(AsianOption(monitors=4))[:2]:
+            with pytest.raises(ValueError, match="expected 4 coordinates, got 3"):
+                payoff(np.full((8, 3), 0.5))
 
     @pytest.mark.parametrize("geometric_first", [False, True])
     def test_pair_shares_quantiles_of_read_only_batch(self, geometric_first, monkeypatch):

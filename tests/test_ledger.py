@@ -423,6 +423,10 @@ class TestLedger:
         with pytest.raises(ValueError):
             build_ledger(f, make_generator("digital", 2, 10), 9, led, r=4)
 
+    def test_level_must_be_positive(self):
+        with pytest.raises(ValueError, match="level m must be at least 1"):
+            build_ledger(lambda x: x[:, 0], make_generator("digital", 1, 9), 0, r=1)
+
     def test_single_walsh_term_unscrambled(self):
         gen = default_digital_generator(1)
         kappa0 = 37

@@ -1,5 +1,6 @@
 """Generator tests: parsing, group structure, determinism, uniformity."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -134,6 +135,19 @@ class TestDirectionTable:
         bad = "header\n2 2 0 1\n"
         with pytest.raises(DirectionTableError, match="line 2"):
             load_direction_numbers(bad)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2 1 0", "expected 'd s a m_1 ... m_s', got 3 fields"),
+            ("2 2 2 1 3", "coefficient a=2 out of range"),
+            ("2 2 0 1 2", "initial value m_2=2 must be odd and < 2^2"),
+            ("2 2 0 1 5", "initial value m_2=5 must be odd and < 2^2"),
+        ],
+    )
+    def test_invalid_row_fields_rejected(self, row, message):
+        with pytest.raises(DirectionTableError, match=re.escape(f"line 2: {message}")):
+            load_direction_numbers(f"header\n{row}\n")
 
     def test_capacity_error(self):
         with pytest.raises(DirectionTableError, match="capacity"):
@@ -301,6 +315,25 @@ class TestDigitalRandomization:
                 DigitalGenerator(bad)
         assert DigitalGenerator(cols, np.ones(3, dtype=np.uint64)).dimension == 3
 
+    def test_non_integer_columns_and_shift_rejected(self):
+        # the uint64 cast used to truncate 3.7 to 3 and 0.9 to 0
+        cols = default_digital_generator(1).columns
+        with pytest.raises(ValueError, match="columns must hold integers, got dtype float64"):
+            DigitalGenerator(np.full((1, 52), 3.7), shift=[0.9])
+        with pytest.raises(ValueError, match="columns must hold integers"):
+            DigitalGenerator(cols.astype(str))
+        for shift in ([0.9], ["1"]):
+            with pytest.raises(ValueError, match="shift must hold integers"):
+                DigitalGenerator(cols, shift=shift)
+
+    def test_integer_inputs_of_any_type_agree(self):
+        cols = default_digital_generator(2).columns
+        ref = DigitalGenerator(cols, np.array([5, 7], dtype=np.uint64))
+        for c, s in ((cols.tolist(), [5, 7]), (cols.astype(np.int64), np.array([5, 7], dtype=np.int64))):
+            gen = DigitalGenerator(c, s)
+            assert gen.columns.dtype == gen.shift.dtype == np.uint64
+            assert np.array_equal(gen.points(0, 64).points, ref.points(0, 64).points)
+
     @pytest.mark.parametrize("bit", [52, 55, 62, 63])
     def test_entries_above_52_bits_rejected(self, bit):
         # OR-ed into a float's exponent or sign, 2**55 was dropped, 2**62
@@ -441,6 +474,31 @@ class TestLattice:
         with pytest.raises(LatticeVectorError, match="component 1 is 6;"):
             LatticeGenerator([1, 6], m_max=6)
 
+    @pytest.mark.parametrize("vector", [[1.5, 3.9], ["3", "5"], np.array([1.0, 3.0]), [True, True]])
+    def test_non_integer_vector_rejected(self, vector):
+        # the int64 cast used to truncate [1.5, 3.9] to [1, 3] and parse strings
+        with pytest.raises(LatticeVectorError, match="generating_vector must hold integers"):
+            LatticeGenerator(vector, m_max=20)
+
+    def test_integer_vector_of_any_type_agrees(self):
+        ref = LatticeGenerator([1, 3, 5], m_max=20, shift=[0.25, 0.5, 0.75])
+        for dtype in (np.int64, np.uint64, np.int32):
+            gen = LatticeGenerator(np.array([1, 3, 5], dtype=dtype), m_max=20, shift=[0.25, 0.5, 0.75])
+            assert gen.generating_vector.dtype == np.int64
+            assert np.array_equal(gen.points(0, 64).points, ref.points(0, 64).points)
+
+    def test_empty_vector_rejected(self):
+        for make in (lambda: LatticeGenerator([], m_max=20), lambda: load_lattice_vector("\n", m_max=20)):
+            with pytest.raises(LatticeVectorError, match="nonempty"):
+                make()
+
+    @pytest.mark.parametrize("m_max", [-1, 0, 41])
+    def test_m_max_outside_supported_range(self, m_max):
+        with pytest.raises(LatticeVectorError, match=f"unsupported m_max={m_max}"):
+            LatticeGenerator([1, 3], m_max=m_max)
+        for ok in (1, 40):
+            assert LatticeGenerator([1, 3], m_max=ok).max_level == ok
+
     def test_vector_file_parsing(self):
         gen = load_lattice_vector("1\n17\n33\n", m_max=6)
         assert gen.generating_vector.tolist() == [1, 17, 33]
@@ -451,6 +509,12 @@ class TestLattice:
         for dimension in (0, -1):
             with pytest.raises(LatticeVectorError, match="positive"):
                 load_lattice_vector("1\n17\n33\n", m_max=6, dimension=dimension)
+
+    def test_blank_lines_skipped_but_counted(self):
+        gen = load_lattice_vector("1\n\n17\n  \n33\n", m_max=6)
+        assert gen.generating_vector.tolist() == [1, 17, 33]
+        with pytest.raises(LatticeVectorError, match="line 3"):
+            load_lattice_vector("1\n\nx\n", m_max=6)
 
 
 def rev_bits(i, bits):
