@@ -108,7 +108,11 @@ def error_bound(ledger: CoefficientLedger, params: ConeParams) -> IntervalEstima
         raise LevelTooLowError(
             f"level m={m} is below the minimum l_star + r = {params.min_level}"
         )
-    err = params.bound_factor(m) * ledger.ranked_tier(m - params.r)
+    if ledger.r != params.r:
+        raise ValueError(
+            f"the ledger keeps ranked tier m - {ledger.r}, the bound reads m - {params.r}"
+        )
+    err = params.bound_factor(m) * ledger.ranked_tier
     return IntervalEstimate(mu=ledger.mean.copy(), err=np.asarray(err, dtype=float))
 
 

@@ -62,8 +62,10 @@ def beta_qmc(f_coefficients: np.ndarray, g_coefficients: np.ndarray, m: int, r: 
     per control; complex coefficients are stacked into a real system
     solved by ``np.linalg.lstsq``.  Singular values up to 1e-6 times the
     largest count as zero; a rank-deficient system falls back to beta = 0
-    with a flag (controls uninformative here).
+    with a flag (controls uninformative here).  Requires 1 <= r < m.
     """
+    if not 1 <= r < m:
+        raise ValueError(f"r={r} must lie in [1, m) for level m={m}")
     lo = 1 << (m - r - 1)
     f_part = _stack_real(f_coefficients[lo:])
     g_part = _stack_real(g_coefficients[lo:])
@@ -104,7 +106,7 @@ def cv_integrate(
     or g values are kept.
     """
     cone = cone or ConeParams()
-    gen = _resolve_generator(family, dimension, seed, generator)
+    gen, seed = _resolve_generator(family, dimension, seed, generator)
     transform = fwht if gen.family == "digital" else lattice_dft
 
     beta = None
@@ -127,7 +129,7 @@ def cv_integrate(
             coef = transform(np.concatenate((f_new, g_new), axis=1))
             beta, fallback = beta_qmc(coef[:, 0], coef[:, 1:], m, cone.r)
         h_new = f_new[:, 0] + (spec.means - g_new) @ beta
-        return CoefficientLedger(gen, m, h_new[:, None], previous, r=cone.r)
+        return CoefficientLedger(gen, h_new[:, None], previous, r=cone.r)
 
-    result = _adapt(level, gen, identity_functional(), tol, cone, seed, generator)
+    result = _adapt(level, gen, identity_functional(), tol, cone, seed)
     return CvResult(result=result, beta=beta, beta_fallback=fallback)

@@ -46,32 +46,41 @@ class Tolerance:
         return max(self.abs_tol, self.rel_tol * abs(v))
 
 
+def _check_interval(v_minus: float, v_plus: float) -> None:
+    if not v_minus <= v_plus:
+        raise ValueError(
+            f"v_minus must not exceed v_plus, and neither may be NaN: [{v_minus}, {v_plus}]"
+        )
+
+
 def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
     """Estimate minimizing the worst-case tolerance over [v-, v+].
 
     Weighted average of the endpoints, each weighted by the tolerance
     scale at the opposite endpoint; shrinks toward zero under a relative
-    criterion.  The average is clipped to [v-, v+], which its rounding can
-    leave when the products underflow.
+    criterion.  Where that average is not finite, because the products
+    overflow or the weights underflow to zero, it is taken with endpoints
+    and weights relative to the larger endpoint magnitude.  The average is
+    clipped to [v-, v+], which its rounding can leave.
     """
-    if v_minus > v_plus:
-        raise ValueError("v_minus must not exceed v_plus")
-    w_minus = tol.scale(v_plus)
-    w_plus = tol.scale(v_minus)
+    _check_interval(v_minus, v_plus)
+    w_minus, w_plus = tol.scale(v_plus), tol.scale(v_minus)
     denom = w_minus + w_plus
-    if denom == 0.0:
-        if v_minus == 0.0 and v_plus == 0.0:
+    average = (v_minus * w_minus + v_plus * w_plus) / denom if denom > 0 else math.nan
+    if not math.isfinite(average):
+        s = max(-v_minus, v_plus)
+        if s == 0:
             return 0.0
-        # relative weights underflowed; they are proportional to |v -+|
-        w_minus, w_plus = abs(v_plus), abs(v_minus)
-        denom = w_minus + w_plus
-    return min(max((v_minus * w_minus + v_plus * w_plus) / denom, v_minus), v_plus)
+        u_minus, u_plus = v_minus / s, v_plus / s
+        w_minus = max(tol.abs_tol / s, tol.rel_tol * abs(u_plus))
+        w_plus = max(tol.abs_tol / s, tol.rel_tol * abs(u_minus))
+        average = s * ((u_minus * w_minus + u_plus * w_plus) / (w_minus + w_plus))
+    return min(max(average, v_minus), v_plus)
 
 
 def sup_tolerance(v_minus: float, v_plus: float, tol: Tolerance) -> float:
     """Worst-case tolerance over [v-, v+] at the optimal estimate."""
-    if v_minus > v_plus:
-        raise ValueError("v_minus must not exceed v_plus")
+    _check_interval(v_minus, v_plus)
     denom = tol.scale(v_plus) + tol.scale(v_minus)
     if denom == 0.0:
         return 0.0 if v_plus == v_minus else np.inf
@@ -114,13 +123,6 @@ class CubatureResult:
     dimension: int
     outputs: int
 
-    @property
-    def status_flags(self) -> tuple[str, ...]:
-        flags = (self.status,)
-        if self.cone_violations:
-            flags += (FLAG_CONE_VIOLATION,)
-        return flags
-
     def csv_row(self, include_wall_time: bool = True) -> list[str]:
         row = [
             str(self.seed),
@@ -130,7 +132,7 @@ class CubatureResult:
             str(self.n),
             repr(self.v_hat),
             repr(self.sup_tol),
-            "+".join(self.status_flags),
+            self.status + ("+" + FLAG_CONE_VIOLATION if self.cone_violations else ""),
         ]
         if include_wall_time:
             row.append(repr(self.wall_ms))
@@ -138,13 +140,14 @@ class CubatureResult:
 
 
 def _resolve_generator(family: str, dimension: int, seed, generator):
+    """The generator of a run and the seed its result reports: None for a given generator."""
     if generator is None:
-        return make_generator(family, dimension, seed)
+        return make_generator(family, dimension, seed), seed
     if generator.dimension != dimension:
         raise ValueError(
             f"generator has dimension {generator.dimension}, expected {dimension}"
         )
-    return generator
+    return generator, None
 
 
 def _level_budget(cone: ConeParams, gen) -> tuple[int, str]:
@@ -163,12 +166,10 @@ def _level_budget(cone: ConeParams, gen) -> tuple[int, str]:
     return cone.m_max, STATUS_BUDGET_EXHAUSTED
 
 
-def _adapt(level, gen, functional, tol, cone, seed, generator) -> CubatureResult:
+def _adapt(level, gen, functional, tol, cone, seed) -> CubatureResult:
     """The doubling loop of :func:`integrate`, on the ledgers ``level(m, previous)`` builds.
 
-    ``previous`` is the ledger of level m - 1, None at the first level.  The
-    result reports ``seed`` only when ``gen`` was built from it, that is
-    when ``generator`` is None.
+    ``previous`` is the ledger of level m - 1, None at the first level.
     """
     top_level, status = _level_budget(cone, gen)
 
@@ -203,7 +204,7 @@ def _adapt(level, gen, functional, tol, cone, seed, generator) -> CubatureResult
         status=status,
         cone_violations=tuple(violations),
         wall_ms=wall_ms,
-        seed=seed if generator is None else None,
+        seed=seed,
         family=gen.family,
         dimension=gen.dimension,
         outputs=functional.output_count,
@@ -231,9 +232,9 @@ def integrate(
     violations are recorded, not fatal.
     """
     cone = cone or ConeParams()
-    gen = _resolve_generator(family, dimension, seed, generator)
+    gen, seed = _resolve_generator(family, dimension, seed, generator)
     level = lambda m, previous: build_ledger(f, gen, m, previous, r=cone.r)  # noqa: E731
-    return _adapt(level, gen, functional, tol, cone, seed, generator)
+    return _adapt(level, gen, functional, tol, cone, seed)
 
 
 def integrate_scalar(

@@ -198,36 +198,36 @@ class CoefficientLedger:
     m - r sums them through the data-driven :func:`magnitude_map`
     permutation, which restores the convention that indices increase as
     coefficients decay and is what the error bound reads.  Only that one
-    ranked tier is gathered and kept, so the caller passes ``r``.
+    ranked tier is kept, as the array ``ranked_tier``, so the caller passes ``r``.
 
     ``values`` has shape (k, p) and holds the integrand values at the
-    points the ledger adds: all 2**m points, or with ``previous`` (the
-    level m-1 ledger of the same generator) the 2**(m-1) new ones.  The
-    transform then runs on the new half only: the level-m coefficients are
-    ((a + b) / 2, (a - b) / 2) with a the previous coefficients and b the
-    transform of the new half.  For a digital ledger this is the last
-    butterfly stage of :func:`fwht` and gives the same bits.  For a
-    lattice ledger b is first multiplied by w**kappa, w = exp(-2 pi i / n):
-    the previous points are the even nodes of level m and the new ones
-    the odd nodes, so this is the last radix-2 decimation-in-time stage of
-    the DFT.  The ledger keeps its coefficients for the next level.
+    points the ledger adds, so k fixes the level: all 2**m points, or with
+    ``previous`` (the level m-1 ledger of the same generator) the 2**(m-1)
+    new ones.  The transform then runs on the new half only: the level-m
+    coefficients are ((a + b) / 2, (a - b) / 2) with a the previous
+    coefficients and b the transform of the new half.  For a digital
+    ledger this is the last butterfly stage of :func:`fwht` and gives the
+    same bits.  For a lattice ledger b is first multiplied by w**kappa,
+    w = exp(-2 pi i / n): the previous points are the even nodes of level
+    m and the new ones the odd nodes, so this is the last radix-2
+    decimation-in-time stage of the DFT.  The ledger keeps its
+    coefficients for the next level.
     """
 
-    def __init__(self, generator, m: int, values: np.ndarray,
+    def __init__(self, generator, values: np.ndarray,
                  previous: CoefficientLedger | None = None, *, r: int):
+        if values.ndim != 2:
+            raise ValueError(f"expected (k, p) values, got shape {values.shape}")
+        m = _check_pow2(values.shape[0]) if previous is None else previous.m + 1
+        if previous is not None and (previous.generator is not generator
+                                     or values.shape != (previous.n, previous.outputs)):
+            raise ValueError(f"expected ({previous.n}, {previous.outputs}) values for level {m} "
+                             f"on the generator of level {previous.m}, got {values.shape}")
         if not 1 <= r <= m:
             raise ValueError(f"r={r} must lie in [1, m] for level m={m}")
         self.generator = generator
         self.m = m
         self.r = r
-        fresh = self.n if previous is None else self.n // 2
-        if values.ndim != 2 or values.shape[0] != fresh:
-            raise ValueError(f"expected ({fresh}, p) values for level {m}, got {values.shape}")
-        if previous is not None and (
-            previous.m != m - 1 or previous.generator is not generator
-            or previous.outputs != values.shape[1]
-        ):
-            raise ValueError("previous ledger must be level m-1 for the same generator and outputs")
         digital = generator.family == "digital"
         coef = fwht(values) if digital else lattice_dft(values)
         if previous is not None:
@@ -248,8 +248,8 @@ class CoefficientLedger:
             ],
             axis=1,
         )
-        # the reduction tier_sums applies to this range, so the bits match
-        self._ranked_tier = np.add.reduceat(segment, [0], axis=0)[0]
+        # ranked tier m - r; the reduction tier_sums applies to this range, so the bits match
+        self.ranked_tier = np.add.reduceat(segment, [0], axis=0)[0]
 
     @property
     def n(self) -> int:
@@ -262,12 +262,6 @@ class CoefficientLedger:
     def coefficients(self) -> np.ndarray:
         """Signed (digital) or complex (lattice) coefficients, natural index order."""
         return self._coef.copy()
-
-    def ranked_tier(self, ell: int) -> np.ndarray:
-        """Ranked tier sum; only tier m - r is kept."""
-        if ell != self.m - self.r:
-            raise ValueError(f"the ledger keeps ranked tier m - r = {self.m - self.r} only, not {ell}")
-        return self._ranked_tier
 
 
 # Coordinates per evaluation block: 2**16 float64 values, 512 KiB, so a
@@ -337,4 +331,4 @@ def build_ledger(
         raise ValueError("level m must be at least 1")
     lo = 0 if previous is None else 1 << (m - 1)
     (values,) = _evaluate((f,), generator, lo, (1 << m) - lo)
-    return CoefficientLedger(generator, m, values, previous, r=r)
+    return CoefficientLedger(generator, values, previous, r=r)

@@ -169,9 +169,13 @@ def _apply_scramble(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_index_range(start: int, count: int, max_level: int) -> None:
+def _check_index_range(start: int, count: int, max_level: int) -> tuple[int, int]:
+    """``start`` and ``count`` as Python ints, if they lie within capacity 2**max_level."""
+    start = _integer_argument("start", start, IndexRangeError)
+    count = _integer_argument("count", count, IndexRangeError)
     if start < 0 or count < 0 or start + count > 1 << max_level:
         raise IndexRangeError(f"index range [{start}, {start + count}) exceeds capacity 2^{max_level}")
+    return start, count
 
 
 def _dyadic_blocks(start: int, count: int):
@@ -259,15 +263,12 @@ class DigitalGenerator:
     def dimension(self) -> int:
         return self.columns.shape[0]
 
-    def point_integers(self, start: int, count: int) -> np.ndarray:
-        """Shifted points as 52-bit integers, shape (count, d): index i is
-        the shift XOR the columns of i's set bits."""
-        _check_index_range(start, count, self.max_level)
-        return _doubled_points(start, count, self.columns, self.shift, np.bitwise_xor).T
-
     def points(self, start: int, count: int) -> PointBatch:
-        """Generate points x_i = C z_i xor shift in natural order."""
-        return PointBatch(_unit_floats(self.point_integers(start, count)))
+        """Generate points x_i = C z_i xor shift in natural order: the 52-bit
+        integer of index i is the shift XOR the columns of i's set bits."""
+        start, count = _check_index_range(start, count, self.max_level)
+        ints = _doubled_points(start, count, self.columns, self.shift, np.bitwise_xor)
+        return PointBatch(_unit_floats(ints.T))
 
 
 class LatticeGenerator:
@@ -314,7 +315,7 @@ class LatticeGenerator:
         return self.generating_vector.size
 
     def points(self, start: int, count: int) -> PointBatch:
-        _check_index_range(start, count, self.max_level)
+        start, count = _check_index_range(start, count, self.max_level)
         # Node integer i is rev(i) * g mod 2**m_max, the sum of
         # g * 2**(m_max-1-b) over the set bits b of i.  The steps are scaled
         # by 2**(52-m_max), so the sums hold node * 2**(52-m_max), the
@@ -336,11 +337,13 @@ class LatticeGenerator:
 
 
 def _integer_argument(name: str, value, error: type) -> int:
-    """``value`` as a Python int; ``error`` naming the argument if it is no integer."""
-    try:
-        return int(operator.index(value))
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as a Python int; ``error`` naming the argument if it is no integer or a bool."""
+    if not isinstance(value, bool):
+        try:
+            return int(operator.index(value))
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _integer_array(name: str, value, dtype: type, error: type) -> np.ndarray:

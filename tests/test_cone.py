@@ -51,6 +51,11 @@ class TestConeParams:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ConeParams(**{field: value})
 
+    @pytest.mark.parametrize("field", ["l_star", "r", "m_max"])
+    def test_integer_fields_reject_booleans(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got True"):
+            ConeParams(**{field: True})
+
     def test_integer_fields_accept_numpy_integers(self):
         p = ConeParams(l_star=np.int64(5), r=np.int32(3), m_max=np.uint8(20))
         assert (p.l_star, p.r, p.m_max) == (5, 3, 20)
@@ -75,14 +80,19 @@ class TestErrorBound:
         class FakeLedger:
             m = 10
             n = 1024
+            r = 4
             mean = np.array([1.0])
-
-            def ranked_tier(self, ell):
-                assert ell == 6
-                return np.array([0.21])
+            ranked_tier = np.array([0.21])
 
         est = error_bound(FakeLedger(), ConeParams())
         assert est.err[0] == pytest.approx(1.025390625e-3, abs=1e-18)
+
+    def test_ledger_must_keep_the_tier_the_bound_reads(self):
+        gen = make_generator("digital", 1, 0)
+        led = build_ledger(lambda x: x[:, 0], gen, 10, r=3)
+        with pytest.raises(ValueError, match="ranked tier m - 3, the bound reads m - 4"):
+            error_bound(led, ConeParams())
+        assert error_bound(led, ConeParams(r=3)).err.shape == (1,)
 
     def test_single_tier_term_placement(self):
         # unit mass at index 96 lands in tier 7 of the level-11 ledger

@@ -50,6 +50,11 @@ class TestBetaQmc:
         assert not fallback
         assert beta[0] == pytest.approx(1.5, rel=1e-10)
 
+    @pytest.mark.parametrize("r", [0, 2, 3])
+    def test_r_must_leave_a_range_below_the_level(self, r):
+        with pytest.raises(ValueError, match=f"r={r} must lie in \\[1, m\\) for level m=2"):
+            beta_qmc(np.ones(4), np.ones((4, 1)), 2, r)
+
     def test_least_squares_residual_never_worse_than_zero(self):
         # spectrum reduction: the fitted residual energy on the range is at
         # most the unfitted energy
@@ -151,14 +156,14 @@ class TestCvIntegrate:
             pts = gen.points(0, 1 << 10).points
             beta, _ = beta_qmc(transform(f(pts)), transform(g(pts)), m=10, r=4)
             h = lambda x: (f(x) + (means - g(x)) @ beta)[:, None]
-            ledger = CoefficientLedger(gen, 10, h(pts), r=4)
+            ledger = CoefficientLedger(gen, h(pts), r=4)
             ref = ReferenceLedger(gen, 10, h(pts))
             for m in range(11, 14):
                 new = gen.points(1 << (m - 1), 1 << (m - 1)).points
-                ledger = CoefficientLedger(gen, m, h(new), ledger, r=4)
+                ledger = CoefficientLedger(gen, h(new), ledger, r=4)
                 ref = ReferenceLedger(gen, m, h(gen.points(0, 1 << m).points), ref)
                 assert_matches_reference(ledger, ref)
-                fresh = CoefficientLedger(gen, m, ref.values, r=4)
+                fresh = CoefficientLedger(gen, ref.values, r=4)
                 if family == "digital":
                     assert_matches_reference(fresh, ref)
                 else:
@@ -171,9 +176,8 @@ class TestCvIntegrate:
             # beta is the first level's fit, held through every later level
             assert np.array_equal(out.beta, beta)
             allpts = gen.points(0, out.result.n).points
-            m = out.result.n.bit_length() - 1
             fresh = CoefficientLedger(
-                gen, m, (f(allpts) + (means - g(allpts)) @ out.beta)[:, None], r=4
+                gen, (f(allpts) + (means - g(allpts)) @ out.beta)[:, None], r=4
             )
             expect = error_bound(fresh, ConeParams())
             assert np.array_equal(out.result.estimate.mu, expect.mu)

@@ -21,7 +21,8 @@ from qmcube.engine import (
     optimal_estimate,
     sup_tolerance,
 )
-from qmcube.integrands import adaptive_gauss_legendre, norm_inv_cdf
+from qmcube.control_variates import ControlVariateSpec, cv_integrate
+from qmcube.integrands import AsianOption, adaptive_gauss_legendre, asian_payoffs, norm_inv_cdf
 from qmcube.ledger import EvaluationError, _block_rows
 from qmcube.sequences import DirectionTableError, make_generator
 from oracles import BASELINE_STRATEGIES, heuristic_baselines, tolerance_value
@@ -97,6 +98,27 @@ class TestOptimalEstimate:
         # both relative weights underflow to zero and so do the endpoint
         # products; the average used to come out as 0.0, outside [v-, v+]
         assert v_minus <= optimal_estimate(v_minus, v_plus, Tolerance(rel_tol=0.1)) <= v_plus
+
+    @pytest.mark.parametrize("v_minus, v_plus", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_endpoint_rejected(self, v_minus, v_plus):
+        # a NaN fails every comparison, so the check must ask for v- <= v+
+        for fn in (optimal_estimate, sup_tolerance):
+            with pytest.raises(ValueError, match="neither may be NaN"):
+                fn(v_minus, v_plus, Tolerance(0.1, 0.1))
+
+    def test_overflowing_products_stay_finite(self):
+        # the weighted products overflow to -inf and +inf, or to +inf twice
+        tol = Tolerance(rel_tol=0.1)
+        assert optimal_estimate(-1e200, 2e200, tol) == 0.0
+        assert optimal_estimate(1e200, 2e200, tol) == pytest.approx(4e200 / 3, rel=1e-15)
+        assert optimal_estimate(-2e200, -1e200, tol) == pytest.approx(-4e200 / 3, rel=1e-15)
+        # under a relative tolerance the estimate scales with the interval
+        for v_minus, v_plus in ((-1.0, 3.0), (2.0, 4.0), (0.0, 1.5), (-5.0, -0.25)):
+            small = optimal_estimate(v_minus, v_plus, Tolerance(rel_tol=0.3))
+            big = optimal_estimate(1e300 * v_minus, 1e300 * v_plus, Tolerance(rel_tol=0.3))
+            assert big == pytest.approx(1e300 * small, rel=1e-14, abs=1e285)
+        # an absolute tolerance whose products overflow gives the midpoint
+        assert optimal_estimate(1.5e308, 1.7e308, Tolerance(abs_tol=10.0)) == pytest.approx(1.6e308)
 
     def test_three_case_form(self):
         # the weighted-average form agrees with the per-regime expressions
@@ -272,6 +294,19 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=message):
             integrate_scalar(f, 2, Tolerance(1e-3))
 
+    def test_nan_functional_raises_at_the_first_level(self):
+        # a NaN interval fails at once instead of running to the level budget
+        points = []
+
+        def f(x):
+            points.append(x.shape[0])
+            return x[:, 0]
+
+        functional = q.SolutionFunctional(1, lambda mu, err: (math.nan, math.nan))
+        with pytest.raises(ValueError, match="neither may be NaN"):
+            integrate(f, 1, functional, Tolerance(1e-3), cone=ConeParams(m_max=12))
+        assert sum(points) == 1 << ConeParams().min_level
+
     def test_csv_row_roundtrip(self):
         res = integrate_scalar(lambda x: x[:, 0], 1, Tolerance(1e-4), seed=9)
         row = res.csv_row()
@@ -297,6 +332,32 @@ class TestIntegrate:
         assert golden["mvn-lattice"][str(seed)]["row"] == row
         result = workloads.WORKLOADS["mvn-lattice"].setup(seed, lambda f: f)()
         assert ",".join(result.csv_row(include_wall_time=False)) == row
+
+    @pytest.mark.parametrize(
+        "seed, row, err, beta",
+        [
+            (1, "None,digital,52,1,131072,11.968385613400894,0.575640612788937,tolerance-met",
+             0.0003793549171916298, 1.0335891693433565),
+            (2, "None,digital,52,1,131072,11.968634205841996,0.6985787596196672,tolerance-met",
+             0.0004179051206979508, 1.0377214467220262),
+        ],
+    )
+    def test_asian_cv_rows_are_pinned(self, seed, row, err, beta, monkeypatch):
+        # the benchmark's control-variate workload; golden.json's rows for it
+        # come from older integrand code, so the bits are pinned here
+        monkeypatch.syspath_prepend(str(BENCHMARK))
+        workloads = importlib.import_module("workloads")
+        result = workloads.WORKLOADS["asian-cv-digital"].setup(seed, lambda f: f)()
+        assert ",".join(result.csv_row(include_wall_time=False)) == row
+        assert result.estimate.err.tolist() == [err]
+        option = AsianOption()
+        arithmetic, geometric, price = asian_payoffs(option)
+        cv = cv_integrate(
+            arithmetic, option.monitors, ControlVariateSpec(geometric, np.array([price])),
+            Tolerance(abs_tol=workloads.ASIAN_TOL), generator=make_generator("digital", option.monitors, seed),
+        )
+        assert cv.beta.tolist() == [beta] and not cv.beta_fallback
+        assert cv.result.csv_row(False) == result.csv_row(False)
 
 
 def keister(dimension):

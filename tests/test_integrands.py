@@ -427,6 +427,11 @@ class TestAsianOption:
         with pytest.raises(ValueError, match=message):
             AsianOption(**fields)
 
+    def test_boolean_monitors_rejected(self):
+        # bool is an int subclass, so operator.index alone would accept it
+        with pytest.raises(ValueError, match="monitors must be an integer, got True"):
+            AsianOption(monitors=True)
+
     def test_zero_volatility_is_deterministic(self):
         opt = AsianOption(volatility=0.0)
         x = np.random.default_rng(1).random((100, 52))

@@ -155,7 +155,7 @@ def assert_matches_reference(led, ref):
     assert np.array_equal(led.mean, ref.mean)
     assert np.array_equal(led.tiers, ref.tiers)
     ell = led.m - led.r
-    assert np.array_equal(led.ranked_tier(ell), ref.ranked_tiers[ell])
+    assert np.array_equal(led.ranked_tier, ref.ranked_tiers[ell])
     assert np.array_equal(led.coefficients(), ref.coef)
 
 
@@ -321,7 +321,7 @@ class TestLedger:
         assert np.array_equal(led11.coefficients(), fresh.coefficients())
         assert np.array_equal(led11.mean, fresh.mean)
         assert np.array_equal(led11.tiers, fresh.tiers)
-        assert np.array_equal(led11.ranked_tier(7), fresh.ranked_tier(7))
+        assert np.array_equal(led11.ranked_tier, fresh.ranked_tier)
 
     @pytest.mark.parametrize("family", ["digital", "lattice"])
     @pytest.mark.parametrize("f", [one_output, three_outputs], ids=["p1", "p3"])
@@ -338,7 +338,7 @@ class TestLedger:
         if family == "lattice":
             ref = ReferenceLedger(gen, 12, values)
         for r in range(1, 13):
-            assert_matches_reference(CoefficientLedger(gen, 12, values, r=r), ref)
+            assert_matches_reference(CoefficientLedger(gen, values, r=r), ref)
 
     def test_keeps_only_what_the_next_level_reads(self):
         f = lambda x: x[:, 0] ** 2
@@ -350,21 +350,34 @@ class TestLedger:
         for led in (digital, lattice):
             assert not hasattr(led, "values")
             assert not hasattr(led, "magnitudes")
-            with pytest.raises(ValueError, match="ranked tier m - r = 4 only"):
-                led.ranked_tier(3)
 
     def test_validates_r_and_value_rows(self):
         gen = make_generator("digital", 1, 3)
         values = np.ones((256, 1))
         for r in (0, 9):
             with pytest.raises(ValueError, match="r="):
-                CoefficientLedger(gen, 8, values, r=r)
-        led = CoefficientLedger(gen, 8, values, r=8)
-        assert np.array_equal(led.ranked_tier(0), [1.0])
+                CoefficientLedger(gen, values, r=r)
+        led = CoefficientLedger(gen, values, r=8)
+        assert np.array_equal(led.ranked_tier, [1.0])
         with pytest.raises(ValueError, match="expected"):
-            CoefficientLedger(gen, 9, values[:100], led, r=4)
+            CoefficientLedger(gen, values[:100], led, r=4)
         with pytest.raises(ValueError, match="expected"):
-            CoefficientLedger(gen, 9, np.ones((512, 1)), led, r=4)
+            CoefficientLedger(gen, np.ones((512, 1)), led, r=4)
+
+    def test_level_follows_from_the_rows(self):
+        gen = make_generator("digital", 1, 3)
+        led = CoefficientLedger(gen, np.ones((256, 2)), r=4)
+        assert (led.m, led.n) == (8, 256)
+        assert CoefficientLedger(gen, np.ones((256, 2)), led, r=4).m == 9
+        for rows in (0, 100, 384):
+            with pytest.raises(TransformError, match=f"length {rows} is not a power of two"):
+                CoefficientLedger(gen, np.ones((rows, 1)), r=1)
+        with pytest.raises(ValueError, match="expected"):
+            CoefficientLedger(gen, np.ones(256), r=4)
+        with pytest.raises(ValueError, match="expected"):
+            CoefficientLedger(gen, np.ones((256, 1)), led, r=4)
+        with pytest.raises(ValueError, match="expected"):
+            CoefficientLedger(make_generator("digital", 1, 4), np.ones((256, 2)), led, r=4)
 
     @pytest.mark.parametrize("family", ["digital", "lattice"])
     def test_incremental_chain_equals_fwht_bitwise(self, family):
@@ -377,7 +390,7 @@ class TestLedger:
         for m in range(7, 12):
             led = build_ledger(f, gen, m, led, r=4)
             values = f(gen.points(0, 1 << m).points)
-            fresh = CoefficientLedger(gen, m, values, r=4)
+            fresh = CoefficientLedger(gen, values, r=4)
             if family == "digital":
                 full = fwht(values)
                 assert np.array_equal(led.coefficients(), full)

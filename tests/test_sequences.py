@@ -112,7 +112,7 @@ class TestDirectionTable:
 
     def test_subgroup_xor_in_dimension_one(self):
         gen = load_direction_numbers(JOE_KUO_HEAD, dimension=1)
-        ints = gen.point_integers(0, 4).ravel()
+        ints = (gen.points(0, 4).points * 2.0**52).astype(np.uint64).ravel()
         # z_1 xor z_2 = z_3, i.e. 0.5 (+) 0.25 = 0.75
         assert ints[1] ^ ints[2] == ints[3]
         assert ints[3] * 2.0**-52 == 0.75
@@ -273,7 +273,7 @@ class TestDigitalRandomization:
             [213798314087642, 71150609919523, 4309845271500676],
             [3033559880773950, 3102212135784785, 306520662446939],
         ]
-        ints = make_generator("digital", 3, 7).point_integers(0, 8)
+        ints = (make_generator("digital", 3, 7).points(0, 8).points * 2.0**52).astype(np.uint64)
         assert np.array_equal(ints, np.array(expect, dtype=np.uint64))
 
     @pytest.mark.parametrize("dimension", [1, 12, 52, 63, 64, 65, 130, 1024])
@@ -357,7 +357,7 @@ class TestDigitalRandomization:
         gen = randomize_digital(default_digital_generator(2), 17)
         for m in (3, 4, 5):
             n = 1 << m
-            ints = gen.point_integers(0, n) ^ gen.shift[None, :]
+            ints = (gen.points(0, n).points * 2.0**52).astype(np.uint64) ^ gen.shift[None, :]
             asset = {tuple(row) for row in ints}
             for i in range(n):
                 for j in range(n):
@@ -381,7 +381,8 @@ class TestDigitalRandomization:
         cols = np.zeros((2, 52), dtype=np.uint64)
         cols[:, 0] = [top, 1]
         gen = DigitalGenerator(cols, np.array([0, top], dtype=np.uint64))
-        assert gen.point_integers(0, 2).tolist() == [[0, top], [top, top - 1]]
+        ints = (gen.points(0, 2).points * 2.0**52).astype(np.uint64)
+        assert ints.tolist() == [[0, top], [top, top - 1]]
         pts = gen.points(0, 2).points
         expect = np.array([[0.0, top * 2.0**-52], [top * 2.0**-52, (top - 1) * 2.0**-52]])
         assert np.array_equal(pts, expect)
@@ -615,6 +616,30 @@ def test_make_generator_families():
     assert make_generator("lattice", 3, 0).family == "lattice"
     with pytest.raises(ValueError):
         make_generator("halton", 3, 0)
+
+
+@pytest.mark.parametrize("family", ["digital", "lattice"])
+@pytest.mark.parametrize(
+    "start, count, name", [(0.5, 2, "start"), (0, 2.0, "count"), (True, 2, "start"), (0, True, "count")]
+)
+def test_index_arguments_must_be_integers(family, start, count, name):
+    gen = make_generator(family, 3, 1)
+    with pytest.raises(IndexRangeError, match=f"{name} must be an integer"):
+        gen.points(start, count)
+
+
+@pytest.mark.parametrize("family", ["digital", "lattice"])
+def test_numpy_integer_indices_match_int(family):
+    gen = make_generator(family, 3, 1)
+    ref = gen.points(3, 5).points
+    for start, count in ((np.int64(3), np.int64(5)), (np.uint32(3), np.int8(5))):
+        assert np.array_equal(gen.points(start, count).points, ref)
+
+
+@pytest.mark.parametrize("family,error", [("digital", DirectionTableError), ("lattice", LatticeVectorError)])
+def test_boolean_dimension_rejected(family, error):
+    with pytest.raises(error, match="dimension must be an integer, got True"):
+        make_generator(family, True, 1)
 
 
 @pytest.mark.parametrize("family,error", [("digital", DirectionTableError), ("lattice", LatticeVectorError)])
