@@ -59,9 +59,9 @@ def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
     Weighted average of the endpoints, each weighted by the tolerance
     scale at the opposite endpoint; shrinks toward zero under a relative
     criterion.  Where that average is not finite, because the products
-    overflow or the weights underflow to zero, it is taken with endpoints
-    and weights relative to the larger endpoint magnitude.  The average is
-    clipped to [v-, v+], which its rounding can leave.
+    overflow or the weights underflow to zero, it is taken with finite
+    endpoints and their weights relative to the larger endpoint magnitude.
+    The average is clipped to [v-, v+], which its rounding can leave.
     """
     _check_interval(v_minus, v_plus)
     w_minus, w_plus = tol.scale(v_plus), tol.scale(v_minus)
@@ -71,10 +71,11 @@ def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
         s = max(-v_minus, v_plus)
         if s == 0:
             return 0.0
-        u_minus, u_plus = v_minus / s, v_plus / s
-        w_minus = max(tol.abs_tol / s, tol.rel_tol * abs(u_plus))
-        w_plus = max(tol.abs_tol / s, tol.rel_tol * abs(u_minus))
-        average = s * ((u_minus * w_minus + u_plus * w_plus) / (w_minus + w_plus))
+        if s < math.inf:
+            u_minus, u_plus = v_minus / s, v_plus / s
+            w_minus = max(tol.abs_tol / s, tol.rel_tol * abs(u_plus))
+            w_plus = max(tol.abs_tol / s, tol.rel_tol * abs(u_minus))
+            average = s * ((u_minus * w_minus + u_plus * w_plus) / (w_minus + w_plus))
     return min(max(average, v_minus), v_plus)
 
 

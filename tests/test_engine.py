@@ -119,6 +119,10 @@ class TestOptimalEstimate:
             assert big == pytest.approx(1e300 * small, rel=1e-14, abs=1e285)
         # an absolute tolerance whose products overflow gives the midpoint
         assert optimal_estimate(1.5e308, 1.7e308, Tolerance(abs_tol=10.0)) == pytest.approx(1.6e308)
+        # an infinite endpoint is not rescaled, and nothing divides by zero
+        for v_minus, v_plus in ((-math.inf, math.inf), (0.0, math.inf), (-math.inf, 1.0)):
+            v_hat = optimal_estimate(v_minus, v_plus, tol)
+            assert math.isnan(v_hat) or v_minus <= v_hat <= v_plus
 
     def test_three_case_form(self):
         # the weighted-average form agrees with the per-regime expressions
