@@ -22,6 +22,16 @@ class LevelTooLowError(ValueError):
     """The ledger level is below the minimum the bound requires."""
 
 
+def _reject_booleans(instance, names) -> None:
+    """ValueError naming the first of the float fields ``names`` that holds a bool.
+
+    A bool would pass every numeric check and act as 0.0 or 1.0."""
+    for name in names:
+        value = getattr(instance, name)
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a real number, not the bool {value!r}")
+
+
 @dataclass(frozen=True)
 class ConeParams:
     """Decay-assumption parameters.
@@ -48,6 +58,7 @@ class ConeParams:
             raise ValueError("l_star and r must be positive integers")
         if self.m_max < self.l_star + self.r:
             raise ValueError("m_max must be at least l_star + r")
+        _reject_booleans(self, ("bound_scale", "rho_scale", "rho_cap"))
         if not all(math.isfinite(v) for v in (self.bound_scale, self.rho_scale, self.rho_cap)):
             raise ValueError("bound_scale, rho_scale and rho_cap must be finite")
         if self.bound_scale <= 0:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cone import ConeParams, IntervalEstimate, ViolationReport, error_bound, necessary_condition
+from .cone import ConeParams, IntervalEstimate, ViolationReport, _reject_booleans, error_bound, necessary_condition
 from .ledger import CoefficientLedger, build_ledger
 from .sequences import make_generator
 
@@ -35,6 +35,7 @@ class Tolerance:
     rel_tol: float = 0.0
 
     def __post_init__(self):
+        _reject_booleans(self, ("abs_tol", "rel_tol"))
         if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
             raise ValueError("abs_tol must be finite and nonnegative")
         if not 0 <= self.rel_tol < 1:
@@ -80,8 +81,15 @@ def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
 
 
 def sup_tolerance(v_minus: float, v_plus: float, tol: Tolerance) -> float:
-    """Worst-case tolerance over [v-, v+] at the optimal estimate."""
+    """Worst-case tolerance over [v-, v+] at the optimal estimate.
+
+    An infinite endpoint gives inf: no estimate meets the tolerance over an
+    unbounded interval, and under a relative tolerance the ratio would be
+    inf / inf.
+    """
     _check_interval(v_minus, v_plus)
+    if math.isinf(v_minus) or math.isinf(v_plus):
+        return math.inf
     denom = tol.scale(v_plus) + tol.scale(v_minus)
     if denom == 0.0:
         return 0.0 if v_plus == v_minus else np.inf

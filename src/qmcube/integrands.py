@@ -50,12 +50,18 @@ def norm_pdf(x):
 
 
 def norm_inv_cdf(u, out=None):
-    """Standard normal quantile for u strictly inside (0, 1), into ``out`` if given."""
-    u = np.asarray(u, dtype=np.float64)
-    # A NaN extreme fails both comparisons, so NaN is rejected too.
-    if u.size and not (u.min() > 0.0 and u.max() < 1.0):
+    """Standard normal quantile for u strictly inside (0, 1), into ``out`` if given.
+
+    ``ndtri`` is finite exactly on (0, 1), from the smallest subnormal to
+    the float below 1: it gives -inf at 0 and -0.0, +inf at 1 and NaN
+    below 0, above 1 and at NaN.  So the quantiles are computed first and
+    one finiteness pass over them checks the arguments; on failure
+    ``out`` may already hold some of them.
+    """
+    z = ndtri(np.asarray(u, dtype=np.float64), out=out)
+    if not np.isfinite(z).all():
         raise ValueError("norm_inv_cdf requires arguments strictly inside (0, 1)")
-    return ndtri(u, out=out)
+    return z
 
 
 # -- multivariate normal probabilities --------------------------------------
@@ -391,8 +397,9 @@ def asian_payoffs(option: AsianOption):
 
     Returns (arithmetic, geometric, geometric_price); the geometric payoff
     with its known price is the natural control variate for the
-    arithmetic one.  Zero coordinates are nudged into (0, 1) before the
-    normal quantile (logged once per batch at debug level).
+    arithmetic one.  The normal quantile runs once per batch; only if it
+    rejects the batch are zero coordinates counted and nudged to 2**-53
+    for a second try (logged once per batch at debug level).
 
     The quantiles of a read-only batch are handed from whichever payoff
     sees the batch first to the other one, through a one-slot hand-off
@@ -425,10 +432,14 @@ def asian_payoffs(option: AsianOption):
         handoff = (None, None)
         if last_ref is not None and last_ref() is x:
             return last_z
-        nudged = np.count_nonzero(x == 0.0)
-        if nudged:
+        try:
+            z = norm_inv_cdf(x)
+        except ValueError:
+            nudged = np.count_nonzero(x == 0.0)
+            if not nudged:
+                raise
             log.debug("nudged %d zero coordinates to 2^-53 before the quantile", nudged)
-        z = norm_inv_cdf(np.maximum(x, _TINY) if nudged else x)
+            z = norm_inv_cdf(np.maximum(x, _TINY))
         if not x.flags.writeable:
             handoff = (weakref.ref(x, forget), z)
         return z

@@ -26,6 +26,10 @@ PRECISION = 52
 # Bits of the float 1.0: OR-ed into an integer k < 2**52 they give the
 # float 1 + k * 2**-52.
 _ONE_BITS = np.float64(1.0).view(np.uint64)
+# Coordinates per point block: 2**16 float64 values, 512 KiB, so a block's
+# points and an integrand's temporaries of the same size stay in a 2 MiB L2
+# cache.  It sizes the engine's evaluation blocks and each generator's table.
+_BLOCK_COORDINATES = 1 << 16
 _DEFAULT_DIRECTION_RESOURCE = "joe-kuo-6.1024.txt"
 _DEFAULT_LATTICE_RESOURCE = "lattice-m20.600.txt"
 _DEFAULT_LATTICE_M_MAX = 20
@@ -189,6 +193,11 @@ def _dyadic_blocks(start: int, count: int):
         count -= size
 
 
+def _block_rows(dimension: int) -> int:
+    """Largest power of two with at most _BLOCK_COORDINATES coordinates per block."""
+    return 1 << max((_BLOCK_COORDINATES // dimension).bit_length() - 1, 0)
+
+
 def _unit_floats(ints: np.ndarray) -> np.ndarray:
     """Integers k < 2**52 turned in place into the floats k * 2**-52.
 
@@ -202,24 +211,48 @@ def _unit_floats(ints: np.ndarray) -> np.ndarray:
     return floats
 
 
-def _doubled_points(start: int, count: int, steps: np.ndarray, base: np.ndarray, op) -> np.ndarray:
+def _doubled_points(start: int, count: int, steps: np.ndarray, base: np.ndarray, op,
+                    table: np.ndarray) -> np.ndarray:
     """Points with indices [start, start + count) as integers, shape (d, count).
 
     Index i maps to ``base op steps[:, b]`` over the set bits b of i, where
-    ``op`` is the family's group operation on uint64.  Each aligned block
-    starts from its base point and doubles: the point with index
-    s + j + 2**b is the one with index s + j op column b, for j < 2**b.
+    ``op`` is the family's group operation on uint64.  ``table[:, j]`` is
+    the op-sum of ``steps[:, b]`` over the set bits b of j, for j below its
+    width W, a power of two; it may also carry bits that op leaves alone
+    (the digital table carries the bits of 1.0).  An aligned block of
+    size 2**k starting at s has no set bit below k in s, so its first
+    min(2**k, W) points are ``table[:, j] op point(s)`` in one pass; it
+    doubles above W: the point with index s + j + 2**b is the one with
+    index s + j op column b, for j < 2**b.
     """
+    width = table.shape[1]
     out = np.empty((steps.shape[0], count), dtype=np.uint64)
     for s, size in _dyadic_blocks(start, count):
         block = out[:, s - start : s - start + size]
         bits = [b for b in range(s.bit_length()) if s >> b & 1]
-        block[:, 0] = op(op.reduce(steps[:, bits], axis=1), base)
-        h = 1
+        first = op(op.reduce(steps[:, bits], axis=1), base)
+        h = min(size, width)
+        op(table[:, :h], first[:, None], out=block[:, :h])
         while h < size:
             op(block[:, :h], steps[:, h.bit_length() - 1, None], out=block[:, h : 2 * h])
             h *= 2
     return out
+
+
+def _point_table(steps: np.ndarray, origin: np.ndarray, op, max_level: int) -> np.ndarray:
+    """Read-only integers of the first W points from ``origin``, shape (d, W).
+
+    W is the engine's block rows for d coordinates, capped by the capacity
+    2**max_level, so one evaluation block reads one table slice.  The
+    table is built by doubling from a one-column table of the identity.
+    A generator builds its table at its first ``points`` call, not at
+    construction; concurrent first calls at worst build it twice.
+    """
+    d = steps.shape[0]
+    width = min(_block_rows(d), 1 << max_level)
+    table = _doubled_points(0, width, steps, origin, op, np.zeros((d, 1), dtype=np.uint64))
+    table.flags.writeable = False
+    return table
 
 
 class DigitalGenerator:
@@ -253,11 +286,12 @@ class DigitalGenerator:
         )
         if self.shift.shape != (d,):
             raise ValueError(f"shift must have shape ({d},), got {self.shift.shape}")
-        # _unit_floats ORs the entries into a float's mantissa; a higher bit
-        # would land in its exponent or sign.
+        # The points carry the bits of 1.0 above the entries' 52 bits; a
+        # higher bit would land in a float's exponent or sign.
         for name, bits in (("columns", self.columns), ("shift", self.shift)):
             if bits.max() >= 1 << PRECISION:
                 raise ValueError(f"{name} must fit in {PRECISION} bits, below 2**{PRECISION}")
+        self._table = None
 
     @property
     def dimension(self) -> int:
@@ -265,10 +299,22 @@ class DigitalGenerator:
 
     def points(self, start: int, count: int) -> PointBatch:
         """Generate points x_i = C z_i xor shift in natural order: the 52-bit
-        integer of index i is the shift XOR the columns of i's set bits."""
+        integer of index i is the shift XOR the columns of i's set bits.
+
+        The first call builds the generator's table of its first points
+        (see ``_doubled_points``) from ``columns``, which must not change
+        after it.  The table's entries carry the bits of 1.0, which XOR
+        leaves alone, so every integer reads as the float 1 + x_i and one
+        exact subtraction makes x_i.
+        """
         start, count = _check_index_range(start, count, self.max_level)
-        ints = _doubled_points(start, count, self.columns, self.shift, np.bitwise_xor)
-        return PointBatch(_unit_floats(ints.T))
+        if self._table is None:
+            origin = np.full(self.dimension, _ONE_BITS)
+            self._table = _point_table(self.columns, origin, np.bitwise_xor, self.max_level)
+        ints = _doubled_points(start, count, self.columns, self.shift, np.bitwise_xor, self._table)
+        floats = ints.T.view(np.float64)
+        floats -= 1.0
+        return PointBatch(floats)
 
 
 class LatticeGenerator:
@@ -309,12 +355,19 @@ class LatticeGenerator:
             # A NaN minimum fails the comparison, so this also requires a finite shift.
             if self.shift.shape != (d,) or not (0.0 <= self.shift.min() and self.shift.max() < 1.0):
                 raise LatticeVectorError(f"shift must have shape ({d},) with entries in [0, 1)")
+        self._steps = self._table = None
 
     @property
     def dimension(self) -> int:
         return self.generating_vector.size
 
     def points(self, start: int, count: int) -> PointBatch:
+        """Shifted nodes with indices [start, start + count).
+
+        The first call builds the doubling steps and the table of the
+        first nodes (see ``_doubled_points``) from ``generating_vector``
+        and ``max_level``, which must not change after it.
+        """
         start, count = _check_index_range(start, count, self.max_level)
         # Node integer i is rev(i) * g mod 2**m_max, the sum of
         # g * 2**(m_max-1-b) over the set bits b of i.  The steps are scaled
@@ -324,11 +377,14 @@ class LatticeGenerator:
         # exactly.  The shift is added last; node and shift both lie in
         # [0, 1), so the sum is below 2 and mod 1 subtracts 1 where it
         # reaches 1.
-        m = self.max_level
-        steps = self.generating_vector.astype(np.uint64)[:, None] << np.arange(
-            PRECISION - 1, PRECISION - 1 - m, -1, dtype=np.uint64
-        )
-        nodes = _doubled_points(start, count, steps, np.zeros(self.dimension, np.uint64), np.add).T
+        zero = np.zeros(self.dimension, np.uint64)
+        if self._table is None:
+            m = self.max_level
+            self._steps = self.generating_vector.astype(np.uint64)[:, None] << np.arange(
+                PRECISION - 1, PRECISION - 1 - m, -1, dtype=np.uint64
+            )
+            self._table = _point_table(self._steps, zero, np.add, m)
+        nodes = _doubled_points(start, count, self._steps, zero, np.add, self._table).T
         nodes &= np.uint64((1 << PRECISION) - 1)
         coords = _unit_floats(nodes)
         coords += self.shift

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmcube.cone import ConeParams, LevelTooLowError, error_bound, necessary_condition
+from qmcube.engine import Tolerance
 from qmcube.ledger import build_ledger
 from qmcube.sequences import DigitalGenerator, default_digital_generator, make_generator
 from oracles import synthesize_integrand
@@ -66,6 +67,18 @@ class TestConeParams:
     def test_scales_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match="must be finite"):
             ConeParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [(ConeParams, "bound_scale"), (ConeParams, "rho_scale"), (ConeParams, "rho_cap"),
+         (Tolerance, "abs_tol"), (Tolerance, "rel_tol")],
+    )
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_float_fields_reject_booleans(self, cls, field, value):
+        # a bool passes every numeric check and used to act as 1.0 or 0.0
+        kwargs = {"abs_tol": 0.1} if cls is Tolerance else {}
+        with pytest.raises(ValueError, match=f"{field} must be a real number, not the bool"):
+            cls(**{**kwargs, field: value})
 
 
 class TestErrorBound:

@@ -86,6 +86,19 @@ class TestOptimalEstimate:
         assert optimal_estimate(0.0, 0.0, tol) == 0.0
         assert sup_tolerance(0.0, 0.0, tol) == 0.0
 
+    @pytest.mark.parametrize(
+        "v_minus, v_plus, tol",
+        [
+            (-math.inf, math.inf, Tolerance(rel_tol=0.1)),
+            (0.0, math.inf, Tolerance(rel_tol=0.1)),
+            (-math.inf, -1.0, Tolerance(0.1, 0.1)),
+            (0.0, math.inf, Tolerance(abs_tol=0.1)),  # inf before as well
+        ],
+    )
+    def test_infinite_endpoint_gives_infinite_sup(self, v_minus, v_plus, tol):
+        # under a relative tolerance the ratio was inf / inf, so NaN
+        assert sup_tolerance(v_minus, v_plus, tol) == math.inf
+
     def test_reversed_interval_rejected(self):
         for fn in (optimal_estimate, sup_tolerance):
             with pytest.raises(ValueError, match="v_minus must not exceed v_plus"):

@@ -49,15 +49,18 @@ class TestNormalKernels:
         assert np.abs(back - u).max() <= 1e-12
 
     def test_tails(self):
-        u = np.array([1e-300, 1.0 - 1e-16])
+        u = np.array([1e-300, 1.0 - 1e-16, 5e-324, 2.0**-53, np.nextafter(1.0, 0.0)])
         x = norm_inv_cdf(u)
         assert np.isfinite(x).all()
         assert x[0] < -30 and x[1] > 8
 
     def test_domain_errors(self):
-        for bad in (0.0, 1.0, -0.25, 1.5):
-            with pytest.raises(ValueError):
-                norm_inv_cdf(np.array([bad]))
+        # ndtri runs first; its -inf, +inf or NaN is what the check rejects
+        for bad in (0.0, -0.0, 1.0, -0.25, -5e-324, 1.5, np.nextafter(1.0, 2.0), np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="strictly inside"):
+                norm_inv_cdf(np.array([0.5, bad]))
+            with pytest.raises(ValueError, match="strictly inside"):
+                norm_inv_cdf(bad)
 
     @pytest.mark.parametrize("bad", [[np.nan], [0.5, np.nan]])
     def test_nan_rejected(self, bad):

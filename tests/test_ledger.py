@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmcube.ledger
 from qmcube import Tolerance, integrate_scalar
@@ -203,7 +205,8 @@ class TestFwht:
     def test_in_place_stages_match_stacked_bitwise(self, m):
         rng = np.random.default_rng(200 + m)
         n = 1 << m
-        for v in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+        # stages whose runs of h * p contiguous values are short go column by column
+        for v in (rng.standard_normal(n), *(rng.standard_normal((n, p)) for p in (1, 2, 3, 5, 16)),
                   np.asfortranarray(rng.standard_normal((n, 3)))):
             out = fwht(v)
             assert np.array_equal(out, fwht_stacked(v))
@@ -295,6 +298,21 @@ class TestTierSums:
             kmap = magnitude_map(mags)
             assert kmap.dtype == np.arange(1).dtype
             assert np.array_equal(kmap, magnitude_map_tournament(mags))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 16), levels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_magnitude_map_head_is_prefix_of_full_map(self, m, levels, seed, data):
+        n = 1 << m
+        # few distinct magnitudes, so many pairs tie
+        mags = np.random.default_rng(seed).integers(0, levels, n).astype(np.float64)
+        head = data.draw(st.one_of(st.integers(1, n), st.sampled_from([1 << k for k in range(m + 1)])))
+        assert np.array_equal(magnitude_map(mags, head), magnitude_map(mags)[:head])
+
+    @pytest.mark.parametrize("head", [0, -1, 9])
+    def test_magnitude_map_head_outside_range_rejected(self, head):
+        with pytest.raises(ValueError, match=r"head=.* must lie in \[1, 8\]"):
+            magnitude_map(np.ones(8), head)
 
 
 class TestLedger:

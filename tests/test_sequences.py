@@ -594,6 +594,71 @@ class TestDoubledBlocks:
         assert np.array_equal(pts, np.array(expect))
 
 
+def doubled_points_reference(start, count, steps, base, op):
+    """Point integers by doubling every aligned block from its first point:
+    what the generators did before their tables."""
+    out = np.empty((steps.shape[0], count), dtype=np.uint64)
+    for s, size in sequences._dyadic_blocks(start, count):
+        block = out[:, s - start : s - start + size]
+        bits = [b for b in range(s.bit_length()) if s >> b & 1]
+        block[:, 0] = op(op.reduce(steps[:, bits], axis=1), base)
+        h = 1
+        while h < size:
+            op(block[:, :h], steps[:, h.bit_length() - 1, None], out=block[:, h : 2 * h])
+            h *= 2
+    return out
+
+
+def points_reference(gen, start, count):
+    """Points [start, start + count) of ``gen`` through :func:`doubled_points_reference`."""
+    if gen.family == "digital":
+        return doubled_points_reference(start, count, gen.columns, gen.shift, np.bitwise_xor).T * 2.0**-52
+    m = gen.max_level
+    steps = gen.generating_vector.astype(np.uint64)[:, None] << np.arange(51, 51 - m, -1, dtype=np.uint64)
+    nodes = doubled_points_reference(start, count, steps, np.zeros(gen.dimension, np.uint64), np.add).T
+    coords = (nodes & np.uint64((1 << 52) - 1)) * 2.0**-52 + gen.shift
+    coords -= coords >= 1.0
+    return coords
+
+
+TABLE_GENERATORS = {
+    "digital": lambda d: make_generator("digital", d, 8),
+    "lattice": lambda d: make_generator("lattice", d, 8),
+}
+
+
+class TestPointTables:
+    @pytest.mark.parametrize("family", sorted(TABLE_GENERATORS))
+    @pytest.mark.parametrize("d", [5, 52])
+    def test_points_equal_per_block_doubling(self, family, d):
+        gen = TABLE_GENERATORS[family](d)
+        width = sequences._block_rows(d)
+        # aligned, unaligned, blocks larger than the table, and ranges crossing it
+        ranges = [(0, width), (0, 4 * width), (2 * width, 2 * width), (3, 70), (width - 5, 3 * width),
+                  ((1 << 20) - 3 * width - 7, 3 * width + 7), (1, 1)]
+        for start, count in ranges:
+            assert np.array_equal(gen.points(start, count).points, points_reference(gen, start, count))
+
+    def test_capacity_below_block_rows(self):
+        gen = randomize_lattice(LatticeGenerator(default_lattice_generator(4).generating_vector, m_max=3), 2)
+        for start, count in [(0, 8), (1, 7), (5, 3), (4, 4)]:
+            assert np.array_equal(gen.points(start, count).points, points_reference(gen, start, count))
+        assert gen._table.shape == (4, 8)
+
+    @pytest.mark.parametrize("family", sorted(TABLE_GENERATORS))
+    def test_table_is_lazy_read_only_and_bounded(self, family):
+        gen = TABLE_GENERATORS[family](52)
+        assert gen._table is None  # construction, and so set-up, builds no table
+        gen.points(0, 1 << 16)
+        table = gen._table
+        gen.points((1 << 20) - 4096, 4096)
+        assert gen._table is table
+        assert table.shape == (52, 1024) and table.size <= 1 << 16
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
 def brute_star_discrepancy(points, grid=24):
     """Anchored-box discrepancy estimated on a regular grid of anchors."""
     n, d = points.shape
