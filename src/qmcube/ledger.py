@@ -36,10 +36,6 @@ class EvaluationError(RuntimeError):
         super().__init__(f"non-finite integrand value {value!r} at point index {index}")
 
 
-# Longest contiguous run that fwht still takes column by column.
-_SHORT_RUN = 4
-
-
 def _check_pow2(n: int) -> int:
     if n < 1 or n & (n - 1):
         raise TransformError(f"length {n} is not a power of two")
@@ -52,31 +48,24 @@ def fwht(values: np.ndarray) -> np.ndarray:
     ``out[kappa] = 2**-m * sum_i values[i] * (-1)**popcount(i & kappa)``.
     Accepts shape (n,) or (n, p); the transform acts on axis 0.  Each
     butterfly stage works in place on one copy of the input, with one
-    buffer of n/2 rows for the differences.  A stage of width h pairs
-    runs of h * p contiguous values; a run of at most _SHORT_RUN values
-    is too short for numpy's inner loop, so such a stage takes each of
-    its h * p columns as one strided 1-D pass of the same operations.
+    buffer of n/2 rows for the differences.
     """
     # C order keeps every reshape below a view of y.
     y = np.array(values, dtype=np.float64, order="C", copy=True)
     squeeze = y.ndim == 1
     if squeeze:
         y = y[:, None]
-    n, p = y.shape
+    n = y.shape[0]
     _check_pow2(n)
-    diff = np.empty(n // 2 * p)
+    diff = np.empty((n // 2, y.shape[1]))
     h = 1
     while h < n:
-        run, blocks = h * p, n // (2 * h)
-        pairs = y.reshape(blocks, 2, run)
-        if run <= _SHORT_RUN:
-            passes = [(pairs[:, 0, c], pairs[:, 1, c], diff[:blocks]) for c in range(run)]
-        else:
-            passes = [(pairs[:, 0], pairs[:, 1], diff.reshape(blocks, run))]
-        for top, bot, delta in passes:
-            np.subtract(top, bot, out=delta)
-            top += bot
-            bot[...] = delta
+        pairs = y.reshape(n // (2 * h), 2, h, -1)
+        top, bot = pairs[:, 0], pairs[:, 1]
+        delta = diff.reshape(n // (2 * h), h, -1)
+        np.subtract(top, bot, out=delta)
+        top += bot
+        bot[...] = delta
         h *= 2
     y /= n
     return y[:, 0] if squeeze else y
@@ -132,7 +121,7 @@ def tier_sums(magnitudes: np.ndarray) -> np.ndarray:
     return np.add.reduceat(mags, bounds, axis=0)
 
 
-def magnitude_map(magnitudes: np.ndarray, head: int | None = None) -> np.ndarray:
+def magnitude_map(magnitudes: np.ndarray, head: int) -> np.ndarray:
     """Permutation moving larger observed magnitudes toward lower indices.
 
     Runs a tournament over the dyadic pairing (kappa, kappa + 2**l) for
@@ -144,17 +133,16 @@ def magnitude_map(magnitudes: np.ndarray, head: int | None = None) -> np.ndarray
 
     The decisions at pair level l read only the first 2**(l+1) entries of
     the map, so each level keeps the winners' magnitudes for the next and
-    records its swap mask; the map is then built by doubling, in O(n).
-    With ``head``, an integer in [1, n], only the first ``head`` entries
-    are built and returned, equal to ``magnitude_map(magnitudes)[:head]``:
-    the doubling stops at ``head`` entries, and each later level only
-    toggles its bit in them.  The tournament still reads all n magnitudes.
+    records its swap mask; the map is then built by doubling.  Only its
+    first ``head`` entries, an integer in [1, n], are built and returned
+    (``head = n`` gives the whole map): the doubling stops at ``head``
+    entries, and each later level only toggles its bit in them.  The
+    tournament still reads all n magnitudes.
     """
     mags = np.asarray(magnitudes)
     n = mags.shape[0]
     m = _check_pow2(n)
-    size = n if head is None else head
-    if not 1 <= size <= n:
+    if not 1 <= head <= n:
         raise ValueError(f"head={head} must lie in [1, {n}]")
     flips = [None] * m
     best = mags
@@ -165,14 +153,14 @@ def magnitude_map(magnitudes: np.ndarray, head: int | None = None) -> np.ndarray
         best = np.where(flips[l], hi, lo)
     # Bit j of kmap[kappa] is bit j of kappa, toggled when level j swaps
     # the pair holding the entry's low j bits.
-    kmap = np.arange(size)  # entries 0 and 1 are final; the loop rewrites the rest
-    bits = np.empty(min(n // 2, size), dtype=kmap.dtype)
+    kmap = np.arange(head)  # entries 0 and 1 are final; the loop rewrites the rest
+    bits = np.empty(min(n // 2, head), dtype=kmap.dtype)
     for j in range(1, m):
         h = 1 << j
-        k = min(h, size)
+        k = min(h, head)
         bit = bits[:k]
         np.left_shift(flips[j][kmap[:k]], j, out=bit)
-        new = min(h, size - h)  # entries h .. h + new - 1 are made here
+        new = min(h, head - h)  # entries h .. h + new - 1 are made here
         if new > 0:
             np.subtract(h, bit[:new], out=kmap[h : h + new])
             kmap[h : h + new] |= kmap[:new]

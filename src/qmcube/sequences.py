@@ -291,6 +291,7 @@ class DigitalGenerator:
         for name, bits in (("columns", self.columns), ("shift", self.shift)):
             if bits.max() >= 1 << PRECISION:
                 raise ValueError(f"{name} must fit in {PRECISION} bits, below 2**{PRECISION}")
+        self.columns = _read_only_copy(self.columns)
         self._table = None
 
     @property
@@ -302,8 +303,8 @@ class DigitalGenerator:
         integer of index i is the shift XOR the columns of i's set bits.
 
         The first call builds the generator's table of its first points
-        (see ``_doubled_points``) from ``columns``, which must not change
-        after it.  The table's entries carry the bits of 1.0, which XOR
+        (see ``_doubled_points``) from the read-only ``columns``.  The
+        table's entries carry the bits of 1.0, which XOR
         leaves alone, so every integer reads as the float 1 + x_i and one
         exact subtraction makes x_i.
         """
@@ -345,7 +346,7 @@ class LatticeGenerator:
         m_max = _integer_argument("m_max", m_max, LatticeVectorError)
         if m_max < 1 or m_max > 40:
             raise LatticeVectorError(f"unsupported m_max={m_max}")
-        self.generating_vector = g
+        self.generating_vector = _read_only_copy(g)
         self.max_level = m_max
         d = g.size
         if shift is None:
@@ -365,8 +366,8 @@ class LatticeGenerator:
         """Shifted nodes with indices [start, start + count).
 
         The first call builds the doubling steps and the table of the
-        first nodes (see ``_doubled_points``) from ``generating_vector``
-        and ``max_level``, which must not change after it.
+        first nodes (see ``_doubled_points``) from the read-only
+        ``generating_vector`` and from ``max_level``.
         """
         start, count = _check_index_range(start, count, self.max_level)
         # Node integer i is rev(i) * g mod 2**m_max, the sum of
@@ -400,6 +401,18 @@ def _integer_argument(name: str, value, error: type) -> int:
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _read_only_copy(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``array``.
+
+    A generator's first ``points`` call builds a table from its columns or
+    generating vector, so an in-place change after it would give stale
+    points; on its own read-only copy the change raises instead.
+    """
+    array = array.copy()
+    array.setflags(write=False)  # faster than assigning flags.writeable
+    return array
 
 
 def _integer_array(name: str, value, dtype: type, error: type) -> np.ndarray:
@@ -442,7 +455,7 @@ def _generator_from_rows(rows, dimension: int | None) -> DigitalGenerator:
     """Generator of the radical inverse, then the expansions of ``rows[:dimension - 1]``.
 
     ``dimension`` defaults to the capacity ``1 + len(rows)``; the generator
-    owns a writeable copy of the cached expansions."""
+    owns a read-only copy of the cached expansions."""
     dimension = _select_dimension(dimension, 1 + len(rows), DirectionTableError, "table capacity")
     cols = np.concatenate([_DIGITS, *(_columns_from_row(*row) for row in rows[: dimension - 1])])
     return DigitalGenerator(cols.reshape(dimension, PRECISION))
@@ -464,7 +477,7 @@ def _parse_lattice_text(text: str) -> np.ndarray:
 def _lattice_from_components(comps: np.ndarray, m_max: int, dimension: int | None) -> LatticeGenerator:
     """Generator owning a copy of the first ``dimension`` components."""
     dimension = _select_dimension(dimension, comps.size, LatticeVectorError, "vector length")
-    return LatticeGenerator(comps[:dimension].copy(), m_max=m_max)
+    return LatticeGenerator(comps[:dimension], m_max=m_max)
 
 
 def load_lattice_vector(text: str, m_max: int, dimension: int | None = None) -> LatticeGenerator:

@@ -143,7 +143,7 @@ class ReferenceLedger:
         self.tiers = tier_sums(self.magnitudes)
         ranked = np.stack(
             [
-                self.magnitudes[magnitude_map(self.magnitudes[:, j]), j]
+                self.magnitudes[magnitude_map(self.magnitudes[:, j], len(coef)), j]
                 for j in range(self.magnitudes.shape[1])
             ],
             axis=1,
@@ -205,7 +205,6 @@ class TestFwht:
     def test_in_place_stages_match_stacked_bitwise(self, m):
         rng = np.random.default_rng(200 + m)
         n = 1 << m
-        # stages whose runs of h * p contiguous values are short go column by column
         for v in (rng.standard_normal(n), *(rng.standard_normal((n, p)) for p in (1, 2, 3, 5, 16)),
                   np.asfortranarray(rng.standard_normal((n, 3)))):
             out = fwht(v)
@@ -279,7 +278,7 @@ class TestTierSums:
     def test_magnitude_map_is_structural_permutation(self):
         rng = np.random.default_rng(5)
         mags = np.abs(rng.standard_normal(64))
-        kmap = magnitude_map(mags)
+        kmap = magnitude_map(mags, 64)
         assert sorted(kmap.tolist()) == list(range(64))
         assert kmap[0] == 0
         # pair ordering: the kept low partner dominates its high partner
@@ -295,7 +294,7 @@ class TestTierSums:
         spread = np.abs(rng.standard_normal(n))
         tied = rng.integers(0, 3, n).astype(np.float64)
         for mags in (spread, tied, np.zeros(n)):
-            kmap = magnitude_map(mags)
+            kmap = magnitude_map(mags, n)
             assert kmap.dtype == np.arange(1).dtype
             assert np.array_equal(kmap, magnitude_map_tournament(mags))
 
@@ -307,7 +306,7 @@ class TestTierSums:
         # few distinct magnitudes, so many pairs tie
         mags = np.random.default_rng(seed).integers(0, levels, n).astype(np.float64)
         head = data.draw(st.one_of(st.integers(1, n), st.sampled_from([1 << k for k in range(m + 1)])))
-        assert np.array_equal(magnitude_map(mags, head), magnitude_map(mags)[:head])
+        assert np.array_equal(magnitude_map(mags, head), magnitude_map(mags, n)[:head])
 
     @pytest.mark.parametrize("head", [0, -1, 9])
     def test_magnitude_map_head_outside_range_rejected(self, head):

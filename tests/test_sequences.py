@@ -177,11 +177,11 @@ class TestDirectionTable:
 
     def test_default_generators_are_independent(self):
         a = default_digital_generator(52)
-        expect = a.columns.copy()
-        a.columns[:] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            a.columns[:] = 0
         a.shift[:] = 1
         b = default_digital_generator(52)
-        assert np.array_equal(b.columns, expect)
+        assert not np.shares_memory(a.columns, b.columns)
         assert not b.shift.any()
 
     @pytest.mark.parametrize("order", [(1, 2, 52, 1024), (1024, 52, 2, 1)])
@@ -191,7 +191,7 @@ class TestDirectionTable:
         sequences._columns_from_row.cache_clear()
         for d in order:
             got = default_digital_generator(d).columns
-            assert got.flags.writeable
+            assert not got.flags.writeable and got.flags.owndata
             expect = template_columns_reference(d)
             assert got.dtype == expect.dtype and np.array_equal(got, expect)
             # the user-text path shares the packaged table's expansions
@@ -457,11 +457,11 @@ class TestLattice:
 
     def test_default_lattice_generators_are_independent(self):
         a = default_lattice_generator(7)
-        expect = a.generating_vector.copy()
-        a.generating_vector[:] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            a.generating_vector[:] = 3
         a.shift[:] = 0.5
         b = default_lattice_generator(7)
-        assert np.array_equal(b.generating_vector, expect)
+        assert not np.shares_memory(a.generating_vector, b.generating_vector)
         assert not b.shift.any()
 
     def test_generating_vector_components_positive_odd(self):
@@ -657,6 +657,19 @@ class TestPointTables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0
+
+    def test_table_sources_cannot_change_after_points(self):
+        cols = default_digital_generator(3).columns.copy()
+        vec = default_lattice_generator(3).generating_vector.copy()
+        for gen, source, name in ((DigitalGenerator(cols), cols, "columns"),
+                                  (LatticeGenerator(vec, m_max=20), vec, "generating_vector")):
+            before = gen.points(0, 64).points
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(gen, name)[0] ^= 2
+            # the caller's array is copied, not frozen, and changing it leaves the generator alone
+            assert source.flags.writeable
+            source[0] += 2
+            assert np.array_equal(gen.points(0, 64).points, before)
 
 
 def brute_star_discrepancy(points, grid=24):
