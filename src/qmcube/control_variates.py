@@ -101,9 +101,9 @@ def cv_integrate(
     combined values h = f + beta . (mu_g - g); only how a level's ledger
     is built differs.  f and the controls are evaluated on the same point
     blocks.  beta is fitted once, from the first level's coefficients, and
-    then held, so each level forms h on its new points only and hands it
-    to the ledger, which extends the previous level's transform; no raw f
-    or g values are kept.
+    then held, so each level forms h on its new points only, in f's own
+    column, drops the control values and hands h to the ledger, which
+    extends the previous level's transform; no raw f or g values are kept.
     """
     cone = cone or ConeParams()
     gen, seed = _resolve_generator(family, dimension, seed, generator)
@@ -128,8 +128,10 @@ def cv_integrate(
             # one transform of f and the controls together; it acts column by column
             coef = transform(np.concatenate((f_new, g_new), axis=1))
             beta, fallback = beta_qmc(coef[:, 0], coef[:, 1:], m, cone.r)
-        h_new = f_new[:, 0] + (spec.means - g_new) @ beta
-        return CoefficientLedger(gen, h_new[:, None], previous, r=cone.r)
+        # h in f's own column; the controls go before the ledger is built
+        f_new[:, 0] += (spec.means - g_new) @ beta
+        del g_new
+        return CoefficientLedger(gen, f_new, previous, r=cone.r)
 
     result = _adapt(level, gen, identity_functional(), tol, cone, seed)
     return CvResult(result=result, beta=beta, beta_fallback=fallback)

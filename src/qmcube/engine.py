@@ -60,11 +60,15 @@ def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
     Weighted average of the endpoints, each weighted by the tolerance
     scale at the opposite endpoint; shrinks toward zero under a relative
     criterion.  Where that average is not finite, because the products
-    overflow or the weights underflow to zero, it is taken with finite
+    overflow or the weights underflow to zero, it is taken with the
     endpoints and their weights relative to the larger endpoint magnitude.
-    The average is clipped to [v-, v+], which its rounding can leave.
+    The average is clipped to [v-, v+], which its rounding can leave.  An
+    interval with an infinite endpoint has no such average; its estimate
+    is the point of [v-, v+] nearest zero, under every tolerance.
     """
     _check_interval(v_minus, v_plus)
+    if math.isinf(v_minus) or math.isinf(v_plus):
+        return min(max(0.0, v_minus), v_plus)
     w_minus, w_plus = tol.scale(v_plus), tol.scale(v_minus)
     denom = w_minus + w_plus
     average = (v_minus * w_minus + v_plus * w_plus) / denom if denom > 0 else math.nan
@@ -72,11 +76,10 @@ def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
         s = max(-v_minus, v_plus)
         if s == 0:
             return 0.0
-        if s < math.inf:
-            u_minus, u_plus = v_minus / s, v_plus / s
-            w_minus = max(tol.abs_tol / s, tol.rel_tol * abs(u_plus))
-            w_plus = max(tol.abs_tol / s, tol.rel_tol * abs(u_minus))
-            average = s * ((u_minus * w_minus + u_plus * w_plus) / (w_minus + w_plus))
+        u_minus, u_plus = v_minus / s, v_plus / s
+        w_minus = max(tol.abs_tol / s, tol.rel_tol * abs(u_plus))
+        w_plus = max(tol.abs_tol / s, tol.rel_tol * abs(u_minus))
+        average = s * ((u_minus * w_minus + u_plus * w_plus) / (w_minus + w_plus))
     return min(max(average, v_minus), v_plus)
 
 

@@ -12,11 +12,15 @@ A level is evaluated in blocks of at most 2**16 / d points (512 KiB of
 coordinates).  Level m - 1's points are the first half of level m's, so a
 ledger transforms only the new half and extends the previous level's
 coefficients by one butterfly; it keeps its coefficients for the next
-level, and neither its values nor the magnitudes.
+level, and neither its values nor the magnitudes.  It ranks when its tier
+sums are first read, after the values are freed, one output column at a
+time: beside the previous and the current coefficients a level then holds
+one column of n magnitudes and the n/2 buffer of the ranking tournament.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -129,12 +133,14 @@ def magnitude_map(magnitudes: np.ndarray, head: int) -> np.ndarray:
     together with all its translates kappa + lambda * 2**(l+1), which keeps
     the permutation consistent with the aliasing tree (truncating the top
     bit of the index still reproduces the coarser level's structure).
-    Index 0 (the mean) never moves.  Deterministic given the magnitudes.
+    Index 0 (the mean) never moves.  Deterministic given the magnitudes,
+    which are only read.
 
     The decisions at pair level l read only the first 2**(l+1) entries of
-    the map, so each level keeps the winners' magnitudes for the next and
-    records its swap mask; the map is then built by doubling.  Only its
-    first ``head`` entries, an integer in [1, n], are built and returned
+    the map, so each level records its swap mask and keeps the winners'
+    magnitudes for the next in the first 2**l entries of one buffer of
+    n/2 values.  The map is then built by doubling.  Only its first
+    ``head`` entries, an integer in [1, n], are built and returned
     (``head = n`` gives the whole map): the doubling stops at ``head``
     entries, and each later level only toggles its bit in them.  The
     tournament still reads all n magnitudes.
@@ -145,12 +151,14 @@ def magnitude_map(magnitudes: np.ndarray, head: int) -> np.ndarray:
     if not 1 <= head <= n:
         raise ValueError(f"head={head} must lie in [1, {n}]")
     flips = [None] * m
-    best = mags
+    best = mags[: n // 2].copy()  # the winners so far, in its first 2**l entries
+    upper = mags
     for l in range(m - 1, 0, -1):
-        lo, hi = best[: 1 << l], best[1 << l : 2 << l]
+        lo, hi = best[: 1 << l], upper[1 << l : 2 << l]
         flips[l] = hi > lo
         flips[l][0] = False
-        best = np.where(flips[l], hi, lo)
+        np.copyto(lo, hi, where=flips[l])
+        upper = best
     # Bit j of kmap[kappa] is bit j of kappa, toggled when level j swaps
     # the pair holding the entry's low j bits.
     kmap = np.arange(head)  # entries 0 and 1 are final; the loop rewrites the rest
@@ -203,13 +211,13 @@ class CoefficientLedger:
 
     Supports p output coordinates sharing one point set; ``mean`` is the
     bin-0 value per coordinate.  Two tier-sum readings are taken from the
-    coefficient magnitudes, which are not kept: ``tiers`` sums them over
-    the fixed natural index ranges (comparable across levels through the
-    aliasing tree, used by the cross-level decay check), while ranked tier
-    m - r sums them through the data-driven :func:`magnitude_map`
-    permutation, which restores the convention that indices increase as
-    coefficients decay and is what the error bound reads.  Only that one
-    ranked tier is kept, as the array ``ranked_tier``, so the caller passes ``r``.
+    coefficient magnitudes: ``tiers`` sums them over the fixed natural
+    index ranges (comparable across levels through the aliasing tree,
+    used by the cross-level decay check), while ranked tier m - r sums
+    them through the data-driven :func:`magnitude_map` permutation, which
+    restores the convention that indices increase as coefficients decay
+    and is what the error bound reads.  Only that one ranked tier is kept,
+    as the array ``ranked_tier``, so the caller passes ``r``.
 
     ``values`` has shape (k, p) and holds the integrand values at the
     points the ledger adds, so k fixes the level: all 2**m points, or with
@@ -221,8 +229,14 @@ class CoefficientLedger:
     same bits.  For a lattice ledger b is first multiplied by w**kappa,
     w = exp(-2 pi i / n): the previous points are the even nodes of level
     m and the new ones the odd nodes, so this is the last radix-2
-    decimation-in-time stage of the DFT.  The ledger keeps its
-    coefficients for the next level.
+    decimation-in-time stage of the DFT.  ``values`` is only read.
+
+    A ledger keeps its coefficients, for the next level's butterfly, and
+    neither the values nor the magnitudes.  It ranks on the first read of
+    ``tiers`` or ``ranked_tier``, once the caller has dropped the values,
+    and one output column at a time: one column of magnitudes and the
+    n/2 tournament buffer of :func:`magnitude_map` are live beside the
+    coefficients, for any p.
     """
 
     def __init__(self, generator, values: np.ndarray,
@@ -248,19 +262,31 @@ class CoefficientLedger:
         # kept for the next level's butterfly
         self._coef = coef
         self.mean = coef[0].real.copy()
-        magnitudes = np.abs(coef)
-        self.tiers = tier_sums(magnitudes)
-        ell = m - r
+
+    @functools.cached_property
+    def _readings(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tiers, ranked tier m - r), taken one output column at a time."""
+        ell = self.m - self.r
         lo, hi = (0, 1) if ell == 0 else (1 << (ell - 1), 1 << ell)
-        segment = np.stack(
-            [
-                magnitudes[magnitude_map(magnitudes[:, j], hi)[lo:], j]
-                for j in range(magnitudes.shape[1])
-            ],
-            axis=1,
-        )
-        # ranked tier m - r; the reduction tier_sums applies to this range, so the bits match
-        self.ranked_tier = np.add.reduceat(segment, [0], axis=0)[0]
+        tiers = np.empty((self.m + 1, self.outputs))
+        ranked = np.empty(self.outputs)
+        magnitudes = np.empty(self.n)
+        for j in range(self.outputs):
+            np.abs(self._coef[:, j], out=magnitudes)
+            tiers[:, j] = tier_sums(magnitudes)
+            # the reduction tier_sums applies to this range, so the bits match
+            ranked[j] = np.add.reduceat(magnitudes[magnitude_map(magnitudes, hi)[lo:]], [0])[0]
+        return tiers, ranked
+
+    @property
+    def tiers(self) -> np.ndarray:
+        """Natural-order tier sums, shape (m + 1, p)."""
+        return self._readings[0]
+
+    @property
+    def ranked_tier(self) -> np.ndarray:
+        """Ranked tier m - r, one sum per output."""
+        return self._readings[1]
 
     @property
     def n(self) -> int:

@@ -135,7 +135,16 @@ class TestOptimalEstimate:
         # an infinite endpoint is not rescaled, and nothing divides by zero
         for v_minus, v_plus in ((-math.inf, math.inf), (0.0, math.inf), (-math.inf, 1.0)):
             v_hat = optimal_estimate(v_minus, v_plus, tol)
-            assert math.isnan(v_hat) or v_minus <= v_hat <= v_plus
+            assert v_minus <= v_hat <= v_plus
+
+    @pytest.mark.parametrize(
+        "v_minus, v_plus, expect",
+        [(-math.inf, math.inf, 0.0), (0.0, math.inf, 0.0), (1.0, math.inf, 1.0),
+         (-math.inf, 1.0, 0.0), (-math.inf, 0.0, 0.0), (-math.inf, -1.0, -1.0)],
+    )
+    def test_unbounded_interval_gives_point_nearest_zero(self, v_minus, v_plus, expect):
+        for tol in (Tolerance(abs_tol=0.1), Tolerance(rel_tol=0.1), Tolerance(0.1, 0.1)):
+            assert optimal_estimate(v_minus, v_plus, tol) == expect
 
     def test_three_case_form(self):
         # the weighted-average form agrees with the per-regime expressions

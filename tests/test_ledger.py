@@ -167,6 +167,22 @@ def assert_close_to_full(coef, full):
     assert np.all(np.abs(coef - full).max(axis=0) <= 1e-15 * np.abs(full).max(axis=0))
 
 
+def whole_array_readings(coef, r):
+    """Reference readings: all n * p magnitudes at once, ranked column by column.
+
+    Tier sums over the whole (n, p) magnitude array, and ranked tier m - r
+    from the stacked ranked segments, summed over axis 0.
+    """
+    magnitudes = np.abs(coef)
+    ell = coef.shape[0].bit_length() - 1 - r
+    lo, hi = (0, 1) if ell == 0 else (1 << (ell - 1), 1 << ell)
+    segment = np.stack(
+        [magnitudes[magnitude_map(magnitudes[:, j], hi)[lo:], j] for j in range(coef.shape[1])],
+        axis=1,
+    )
+    return tier_sums(magnitudes), np.add.reduceat(segment, [0], axis=0)[0]
+
+
 def three_outputs(x):
     return np.stack([np.exp(x[:, 0]), x[:, 1] * x[:, 2], np.sin(9 * x[:, 2])], axis=1)
 
@@ -367,6 +383,71 @@ class TestLedger:
         for led in (digital, lattice):
             assert not hasattr(led, "values")
             assert not hasattr(led, "magnitudes")
+
+    @pytest.mark.parametrize("family", ["digital", "lattice"])
+    @pytest.mark.parametrize("f", [one_output, three_outputs], ids=["p1", "p3"])
+    def test_readings_taken_late_equal_readings_taken_at_once(self, family, f):
+        gen = make_generator(family, 3, 23)
+        eager = build_ledger(f, gen, 10, r=4)
+        at_once = (eager.tiers, eager.ranked_tier)
+        late = build_ledger(f, gen, 10, r=4)
+        following = build_ledger(f, gen, 11, late, r=4)
+        expect = whole_array_readings(late.coefficients(), 4)
+        for got in (at_once, (late.tiers, late.ranked_tier)):
+            assert np.array_equal(got[0], expect[0])
+            assert np.array_equal(got[1], expect[1])
+        expect = whole_array_readings(following.coefficients(), 4)
+        assert np.array_equal(following.tiers, expect[0])
+        assert np.array_equal(following.ranked_tier, expect[1])
+
+    @pytest.mark.parametrize("family", ["digital", "lattice"])
+    def test_inputs_are_left_unchanged(self, family):
+        rng = np.random.default_rng(11)
+        gen = make_generator(family, 1, 3)
+        values = rng.standard_normal((256, 3))
+        new_half = rng.standard_normal((256, 3))
+        kept = values.copy(), new_half.copy()
+        previous = CoefficientLedger(gen, values, r=4)
+        led = CoefficientLedger(gen, new_half, previous, r=4)
+        led.tiers, previous.tiers  # rank both
+        assert np.array_equal(values, kept[0]) and np.array_equal(new_half, kept[1])
+        for v in (values, values[:, 1], np.asfortranarray(values)):
+            before = v.copy()
+            fwht(v)
+            lattice_dft(v)
+            assert np.array_equal(v, before)
+        mags = np.abs(rng.standard_normal(512))
+        before = mags.copy()
+        for head in (1, 37, 512):
+            magnitude_map(mags, head)
+        magnitude_map(mags[::2], 256)
+        assert np.array_equal(mags, before)
+
+    @pytest.mark.parametrize("p, bound", [(1, 3.1), (3, 2.4)])
+    def test_top_level_working_set(self, p, bound):
+        # While level m builds it holds the values and the transform of its
+        # 2**(m-1) new points, the previous level's coefficients and its own.
+        # It ranks once the values are gone, beside one column of n
+        # magnitudes and the n/2 tournament buffer.  At m = 18 the traced
+        # peak is about 2.8 (p = 1) and 2.0 (p = 3) vectors of n * p floats.
+        # A ledger ranking beside its values, all n * p magnitudes at once,
+        # peaks at about 3.35 and 2.8.
+        def f(x):
+            cols = [x[:, 0] * x[:, 1], x[:, 0], x[:, 1]]
+            return np.stack(cols[:p], axis=1)
+
+        gen = make_generator("digital", 2, 1)
+        m = 18
+        previous = build_ledger(f, gen, m - 1, r=4)
+        previous.ranked_tier  # ranked before level m, as the engine ranks it
+        tracemalloc.start()
+        try:
+            led = build_ledger(f, gen, m, previous, r=4)
+            led.tiers, led.ranked_tier
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * (8 << m) * p
 
     def test_validates_r_and_value_rows(self):
         gen = make_generator("digital", 1, 3)

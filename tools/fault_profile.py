@@ -3,14 +3,17 @@
     python3 tools/fault_profile.py --workload mvn-lattice [--seed 1] [--calls 20]
 
 Runs ``benchmark/`` unchanged with the library from ``src``.  Untraced calls
-after a warm-up give the totals; traced calls, with the tracer's clock
-swapped for the ``getrusage`` fault count, give the faults of each span.
+after a warm-up give the totals; one more call under ``tracemalloc`` gives
+the peak of the memory allocated during a call; traced calls, with the
+tracer's clock swapped for the ``getrusage`` fault count, give the faults
+of each span.
 """
 
 import argparse
 import resource
 import statistics
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -38,6 +41,10 @@ for _ in range(args.calls):
     calls.append((perf_counter() - t0, faults() - f0))
 wall, count = (statistics.median(c[k] for c in calls) for k in (0, 1))
 print(f"{workload.name} seed={args.seed}: {wall:.4f} s, {count:.0f} minor faults per call")
+tracemalloc.start()
+solve()
+print(f"  traced peak of one call: {tracemalloc.get_traced_memory()[1] / 2**20:.2f} MiB")
+tracemalloc.stop()
 tracing.perf_counter = faults
 tracer = tracing.Tracer()
 traced, spans = tracer.solver(workload.setup, args.seed), []
