@@ -9,27 +9,16 @@ reports integrands that demonstrably violate the assumption.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ledger import CoefficientLedger
-from .sequences import _integer_argument
+from .sequences import _integer_argument, _real_argument
 
 
 class LevelTooLowError(ValueError):
     """The ledger level is below the minimum the bound requires."""
-
-
-def _reject_booleans(instance, names) -> None:
-    """ValueError naming the first of the float fields ``names`` that holds a bool.
-
-    A bool would pass every numeric check and act as 0.0 or 1.0."""
-    for name in names:
-        value = getattr(instance, name)
-        if isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a real number, not the bool {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +30,7 @@ class ConeParams:
     of the combined bound factor ``bound_scale * 2**-m``, and ``rho_scale``
     the scale of the tier-inflation product ``min(rho_scale * 2**-a,
     rho_cap)`` used by the necessary check.  ``m_max`` caps the adaptive
-    doubling.  ``l_star``, ``r`` and ``m_max`` are stored as Python ints.
+    doubling.  Integer fields are stored as Python ints, the scales as Python floats.
     """
 
     l_star: int = 6
@@ -54,13 +43,12 @@ class ConeParams:
     def __post_init__(self):
         for name in ("l_star", "r", "m_max"):
             object.__setattr__(self, name, _integer_argument(name, getattr(self, name), ValueError))
+        for name in ("bound_scale", "rho_scale", "rho_cap"):
+            object.__setattr__(self, name, _real_argument(name, getattr(self, name)))
         if self.l_star < 1 or self.r < 1:
             raise ValueError("l_star and r must be positive integers")
         if self.m_max < self.l_star + self.r:
             raise ValueError("m_max must be at least l_star + r")
-        _reject_booleans(self, ("bound_scale", "rho_scale", "rho_cap"))
-        if not all(math.isfinite(v) for v in (self.bound_scale, self.rho_scale, self.rho_cap)):
-            raise ValueError("bound_scale, rho_scale and rho_cap must be finite")
         if self.bound_scale <= 0:
             raise ValueError("bound_scale must be positive")
         if self.rho_scale < 0 or self.rho_cap < 0:

@@ -20,6 +20,7 @@ import numpy as np
 from .cone import ConeParams, error_bound, necessary_condition  # noqa: F401
 from .engine import CubatureResult, Tolerance, _adapt, _resolve_generator, identity_functional
 from .ledger import CoefficientLedger, _evaluate, fwht, lattice_dft
+from .sequences import _numeric_array
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class ControlVariateSpec:
     policy: str = "freeze-after-first-level"
 
     def __post_init__(self):
-        means = np.atleast_1d(np.asarray(self.means, dtype=np.float64))
+        means = np.atleast_1d(_numeric_array("means", self.means, np.float64, ValueError))
         if means.ndim != 1:
             raise ValueError(f"control means must be a vector, got shape {means.shape}")
         if means.size < 1 or not np.all(np.isfinite(means)):

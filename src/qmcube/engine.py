@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cone import ConeParams, IntervalEstimate, ViolationReport, _reject_booleans, error_bound, necessary_condition
+from .cone import ConeParams, IntervalEstimate, ViolationReport, error_bound, necessary_condition
 from .ledger import CoefficientLedger, build_ledger
-from .sequences import make_generator
+from .sequences import _real_argument, make_generator
 
 STATUS_TOLERANCE_MET = "tolerance-met"
 STATUS_BUDGET_EXHAUSTED = "budget-exhausted"
@@ -28,16 +28,17 @@ FLAG_CONE_VIOLATION = "cone-violation-flagged"
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Hybrid error criterion: met if the error is within the absolute
-    tolerance or within the relative tolerance times the true value."""
+    """Hybrid error criterion, two Python floats: met if the error is within
+    the absolute tolerance or within the relative tolerance times the true value."""
 
     abs_tol: float = 0.0
     rel_tol: float = 0.0
 
     def __post_init__(self):
-        _reject_booleans(self, ("abs_tol", "rel_tol"))
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
-            raise ValueError("abs_tol must be finite and nonnegative")
+        for name in ("abs_tol", "rel_tol"):
+            object.__setattr__(self, name, _real_argument(name, getattr(self, name)))
+        if self.abs_tol < 0:
+            raise ValueError("abs_tol must be nonnegative")
         if not 0 <= self.rel_tol < 1:
             raise ValueError("rel_tol must lie in [0, 1)")
         if self.abs_tol == 0 and self.rel_tol == 0:
@@ -47,11 +48,12 @@ class Tolerance:
         return max(self.abs_tol, self.rel_tol * abs(v))
 
 
-def _check_interval(v_minus: float, v_plus: float) -> None:
+def _check_interval(v_minus: float, v_plus: float) -> tuple[float, float]:
     if not v_minus <= v_plus:
         raise ValueError(
             f"v_minus must not exceed v_plus, and neither may be NaN: [{v_minus}, {v_plus}]"
         )
+    return float(v_minus), float(v_plus)
 
 
 def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
@@ -66,7 +68,7 @@ def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
     interval with an infinite endpoint has no such average; its estimate
     is the point of [v-, v+] nearest zero, under every tolerance.
     """
-    _check_interval(v_minus, v_plus)
+    v_minus, v_plus = _check_interval(v_minus, v_plus)
     if math.isinf(v_minus) or math.isinf(v_plus):
         return min(max(0.0, v_minus), v_plus)
     w_minus, w_plus = tol.scale(v_plus), tol.scale(v_minus)
@@ -90,7 +92,7 @@ def sup_tolerance(v_minus: float, v_plus: float, tol: Tolerance) -> float:
     unbounded interval, and under a relative tolerance the ratio would be
     inf / inf.
     """
-    _check_interval(v_minus, v_plus)
+    v_minus, v_plus = _check_interval(v_minus, v_plus)
     if math.isinf(v_minus) or math.isinf(v_plus):
         return math.inf
     denom = tol.scale(v_plus) + tol.scale(v_minus)
@@ -115,7 +117,7 @@ class SolutionFunctional:
 def identity_functional() -> SolutionFunctional:
     return SolutionFunctional(
         output_count=1,
-        bounds=lambda mu, err: (float(mu[0] - err[0]), float(mu[0] + err[0])),
+        bounds=lambda mu, err: (mu[0] - err[0], mu[0] + err[0]),
     )
 
 

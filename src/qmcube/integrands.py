@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import erfc, ndtri
 
 from .engine import SolutionFunctional
-from .sequences import _integer_argument
+from .sequences import _integer_argument, _numeric_array, _real_argument
 
 log = logging.getLogger(__name__)
 
@@ -76,9 +76,9 @@ class MvnProblem:
     cholesky: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=np.float64)
-        upper = np.asarray(self.upper, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
+        lower = _numeric_array("lower", self.lower, np.float64, ValueError)
+        upper = _numeric_array("upper", self.upper, np.float64, ValueError)
+        cov = _numeric_array("covariance", self.covariance, np.float64, ValueError)
         d = cov.shape[0] if cov.ndim else 0
         if cov.shape != (d, d) or lower.shape != (d,) or upper.shape != (d,):
             raise ValueError(
@@ -106,7 +106,7 @@ class MvnProblem:
 def equicorrelated_mvn(d: int, sigma: float, upper) -> MvnProblem:
     """One-sided problem with unit variances and constant correlation."""
     cov = np.full((d, d), sigma) + (1.0 - sigma) * np.eye(d)
-    return MvnProblem(lower=np.full(d, -np.inf), upper=np.asarray(upper, float), covariance=cov)
+    return MvnProblem(lower=np.full(d, -np.inf), upper=upper, covariance=cov)
 
 
 def genz_integrand(problem: MvnProblem) -> Callable[[np.ndarray], np.ndarray]:
@@ -295,7 +295,7 @@ def sobol_index_bounds(mu: np.ndarray, err: np.ndarray) -> tuple[float, float]:
         den = mu[1] - sign * err[1] - square
         if num > max(0.0, den):
             return 1.0
-        return float(num / den)
+        return num / den
 
     v_minus, v_plus = one_side(-1.0, square_min), one_side(+1.0, max(squares))
     return min(v_minus, v_plus), max(v_minus, v_plus)
@@ -311,9 +311,9 @@ def sobol_index_functional() -> SolutionFunctional:
 class AsianOption:
     """Discretely monitored Asian call under geometric Brownian motion.
 
-    Every field must be finite, ``spot`` positive, ``monitors`` an integer
-    of at least 1 (stored as a Python int), and ``strike``, ``volatility``
-    and ``maturity`` nonnegative.
+    ``monitors`` is an integer of at least 1, stored as a Python int; the
+    other fields are finite real numbers, not bools, stored as Python floats:
+    ``spot`` positive, ``strike``, ``volatility`` and ``maturity`` nonnegative.
     """
 
     spot: float = 100.0
@@ -325,9 +325,8 @@ class AsianOption:
 
     def __post_init__(self):
         object.__setattr__(self, "monitors", _integer_argument("monitors", self.monitors, ValueError))
-        values = (self.spot, self.strike, self.rate, self.volatility, self.maturity, self.monitors)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"option fields must be finite, got {values}")
+        for name in ("spot", "strike", "rate", "volatility", "maturity"):
+            object.__setattr__(self, name, _real_argument(name, getattr(self, name)))
         if self.monitors < 1:
             raise ValueError(f"monitors must be at least 1, got {self.monitors}")
         if self.spot <= 0:

@@ -16,6 +16,8 @@ are generated in natural index order.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from importlib import resources
@@ -273,7 +275,7 @@ class DigitalGenerator:
     max_level = PRECISION
 
     def __init__(self, columns, shift=None):
-        self.columns = _integer_array("columns", columns, np.uint64, ValueError)
+        self.columns = _numeric_array("columns", columns, np.uint64, ValueError)
         if self.columns.ndim != 2 or self.columns.shape[0] < 1 or self.columns.shape[1] != PRECISION:
             raise ValueError(
                 f"columns must have shape (d >= 1, {PRECISION}), got {self.columns.shape}"
@@ -282,7 +284,7 @@ class DigitalGenerator:
         self.shift = (
             np.zeros(d, dtype=np.uint64)
             if shift is None
-            else _integer_array("shift", shift, np.uint64, ValueError)
+            else _numeric_array("shift", shift, np.uint64, ValueError)
         )
         if self.shift.shape != (d,):
             raise ValueError(f"shift must have shape ({d},), got {self.shift.shape}")
@@ -331,7 +333,7 @@ class LatticeGenerator:
     family = "lattice"
 
     def __init__(self, generating_vector, m_max: int, shift=None):
-        g = _integer_array("generating_vector", generating_vector, np.int64, LatticeVectorError)
+        g = _numeric_array("generating_vector", generating_vector, np.int64, LatticeVectorError)
         if g.ndim != 1 or g.size == 0:
             raise LatticeVectorError("generating vector must be a nonempty 1-D integer array")
         # A zero component pins its coordinate to the shift, and an even one
@@ -352,7 +354,7 @@ class LatticeGenerator:
         if shift is None:
             self.shift = np.zeros(d)
         else:
-            self.shift = np.asarray(shift, dtype=np.float64)
+            self.shift = _numeric_array("shift", shift, np.float64, LatticeVectorError)
             # A NaN minimum fails the comparison, so this also requires a finite shift.
             if self.shift.shape != (d,) or not (0.0 <= self.shift.min() and self.shift.max() < 1.0):
                 raise LatticeVectorError(f"shift must have shape ({d},) with entries in [0, 1)")
@@ -403,6 +405,15 @@ def _integer_argument(name: str, value, error: type) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _real_argument(name: str, value) -> float:
+    """``value`` as a Python float; ValueError naming the argument unless it is a finite real, not a bool."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, not the {type(value).__name__} {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def _read_only_copy(array: np.ndarray) -> np.ndarray:
     """A read-only copy of ``array``.
 
@@ -415,14 +426,16 @@ def _read_only_copy(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _integer_array(name: str, value, dtype: type, error: type) -> np.ndarray:
-    """``value`` as an array of ``dtype``; ``error`` naming the argument if it holds no integers.
+def _numeric_array(name: str, value, dtype: type, error: type) -> np.ndarray:
+    """``value`` as an array of ``dtype``; ``error`` naming the argument if it holds no
+    integers, or for ``np.float64`` neither integers nor floats.
 
-    The dtype is checked before the cast, which would truncate floats and
-    parse strings."""
+    The dtype is checked before the cast, which would truncate floats, parse
+    strings and take booleans."""
     array = np.asarray(value)
-    if array.size and array.dtype.kind not in "iu":
-        raise error(f"{name} must hold integers, got dtype {array.dtype}")
+    real = dtype is np.float64
+    if array.size and array.dtype.kind not in ("iuf" if real else "iu"):
+        raise error(f"{name} must hold {'real numbers' if real else 'integers'}, got dtype {array.dtype}")
     return array.astype(dtype, copy=False)
 
 

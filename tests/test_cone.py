@@ -1,5 +1,7 @@
 """Error-bound arithmetic, its invariances, and the cross-level decay check."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,24 @@ from hypothesis import strategies as st
 
 from qmcube.cone import ConeParams, LevelTooLowError, error_bound, necessary_condition
 from qmcube.engine import Tolerance
+from qmcube.integrands import AsianOption
 from qmcube.ledger import build_ledger
 from qmcube.sequences import DigitalGenerator, default_digital_generator, make_generator
 from oracles import synthesize_integrand
+
+
+# Every real-valued field of the three classes that take them.
+FLOAT_FIELDS = [
+    (ConeParams, "bound_scale"), (ConeParams, "rho_scale"), (ConeParams, "rho_cap"),
+    (Tolerance, "abs_tol"), (Tolerance, "rel_tol"),
+    (AsianOption, "spot"), (AsianOption, "strike"), (AsianOption, "rate"),
+    (AsianOption, "volatility"), (AsianOption, "maturity"),
+]
+
+
+def float_field_kwargs(cls, field, value):
+    """Keyword arguments that set ``field`` of ``cls`` to ``value`` and leave the rest valid."""
+    return {**({"abs_tol": 0.1} if cls is Tolerance else {}), field: value}
 
 
 def shift_only_digital(dimension, seed):
@@ -68,17 +85,21 @@ class TestConeParams:
         with pytest.raises(ValueError, match="must be finite"):
             ConeParams(**{field: value})
 
-    @pytest.mark.parametrize(
-        "cls, field",
-        [(ConeParams, "bound_scale"), (ConeParams, "rho_scale"), (ConeParams, "rho_cap"),
-         (Tolerance, "abs_tol"), (Tolerance, "rel_tol")],
-    )
-    @pytest.mark.parametrize("value", [True, False, np.True_])
+    @pytest.mark.parametrize("cls, field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.5", None, 1j])
     def test_float_fields_reject_booleans(self, cls, field, value):
-        # a bool passes every numeric check and used to act as 1.0 or 0.0
-        kwargs = {"abs_tol": 0.1} if cls is Tolerance else {}
-        with pytest.raises(ValueError, match=f"{field} must be a real number, not the bool"):
-            cls(**{**kwargs, field: value})
+        # a bool passes every numeric check and used to act as 1.0 or 0.0; a
+        # non-number used to raise a TypeError from math.isfinite naming no field
+        kind = type(value).__name__  # "bool" for np.True_ too
+        with pytest.raises(ValueError, match=f"{field} must be a real number, not the {kind} "):
+            cls(**float_field_kwargs(cls, field, value))
+
+    @pytest.mark.parametrize("cls, field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64, np.uint8, Fraction, int])
+    def test_float_fields_store_python_floats(self, cls, field, kind):
+        value = kind(0 if field == "rel_tol" else 1)
+        stored = getattr(cls(**float_field_kwargs(cls, field, value)), field)
+        assert type(stored) is float and stored == value
 
 
 class TestErrorBound:

@@ -97,6 +97,10 @@ class TestCvIntegrate:
             ControlVariateSpec(controls=lambda x: x, means=[0.5], policy="refresh-each-level")
         # the benchmark workloads pass the one accepted value
         ControlVariateSpec(controls=lambda x: x, means=[0.5], policy="freeze-after-first-level")
+        # the float cast used to parse strings and read a bool as 1.0
+        for means in ("1.5", True, [0.5, "0.5"], [False]):
+            with pytest.raises(ValueError, match="means must hold real numbers"):
+                ControlVariateSpec(controls=lambda x: x, means=means)
 
     def test_means_must_be_a_vector(self):
         with pytest.raises(ValueError, match=r"must be a vector, got shape \(2, 1\)"):

@@ -342,6 +342,25 @@ class TestIntegrate:
         assert row[:-1] == again.csv_row()[:-1]  # identical up to wall time
 
     @pytest.mark.parametrize(
+        "tol, functional",
+        [
+            (Tolerance(abs_tol=np.float64(1e-3)), identity_functional()),
+            (Tolerance(abs_tol=1e-3),
+             q.SolutionFunctional(1, lambda mu, err: (mu[0] - err[0], mu[0] + err[0]))),
+        ],
+        ids=["numpy-tolerance", "numpy-bounds"],
+    )
+    def test_numpy_floats_come_out_as_python_floats(self, tol, functional):
+        # v_hat used to stay an np.float64, which csv_row printed as 'np.float64(...)'
+        res = integrate(lambda x: np.prod(2.0 * x, axis=1), 3, functional, tol, seed=7)
+        assert type(res.v_hat) is float and type(res.sup_tol) is float
+        assert not any("np.float64" in field for field in res.csv_row())
+        assert res.csv_row(False)[5] == "1.0002446174453254"
+        v_minus, v_plus = np.float32(0.5), np.float64(1.5)
+        assert type(optimal_estimate(v_minus, v_plus, tol)) is float
+        assert type(sup_tolerance(v_minus, v_plus, tol)) is float
+
+    @pytest.mark.parametrize(
         "seed, row",
         [
             (1, "None,lattice,7,1,131072,0.5002986655963194,0.546243948339466,"

@@ -169,6 +169,21 @@ class TestGenz:
         with pytest.raises(ValueError, match="no limit may be NaN"):
             MvnProblem(lower=lower, upper=upper, covariance=np.eye(2))
 
+    @pytest.mark.parametrize(
+        "name, lower, upper, covariance",
+        [
+            ("lower", ["-1", "-1"], [1.0, 2.0], np.eye(2)),
+            ("upper", [-1.0, -1.0], [True, "2"], np.eye(2)),
+            ("upper", [-1.0, -1.0], [True, True], np.eye(2)),
+            ("covariance", [-1.0, -1.0], [1.0, 2.0], np.eye(2, dtype=bool)),
+            ("covariance", [-1.0, -1.0], [1.0, 2.0], [["1", "0"], ["0", "1"]]),
+        ],
+    )
+    def test_non_numeric_arguments_rejected(self, name, lower, upper, covariance):
+        # the float cast used to parse strings and read a bool as 1.0
+        with pytest.raises(ValueError, match=f"{name} must hold real numbers"):
+            MvnProblem(lower=lower, upper=upper, covariance=covariance)
+
     @pytest.mark.parametrize("covariance", [[[1.0, 0.9], [0.0, 1.0]], [[1.0, 0.0], [0.9, 1.0]]])
     def test_asymmetric_covariance_rejected(self, covariance):
         # Cholesky reads the lower triangle only, so either would stand for another problem

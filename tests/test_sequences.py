@@ -397,6 +397,10 @@ class TestLattice:
                     [-0.1, 0.2, 0.3], [0.1, np.inf, 0.2]):
             with pytest.raises(LatticeVectorError, match="shift"):
                 LatticeGenerator(g, m_max=20, shift=bad)
+        # the float cast used to parse strings and read a bool as 0.0 or 1.0
+        for bad in (["0.1", "0.2", "0.3"], [False, False, False], ["0.1", 0.2, 0.3]):
+            with pytest.raises(LatticeVectorError, match="shift must hold real numbers"):
+                LatticeGenerator(g, m_max=20, shift=bad)
         shift = [0.0, 0.5, np.nextafter(1.0, 0.0)]
         assert np.array_equal(LatticeGenerator(g, m_max=20, shift=shift).shift, shift)
 
