@@ -105,6 +105,7 @@ class MvnProblem:
 
 def equicorrelated_mvn(d: int, sigma: float, upper) -> MvnProblem:
     """One-sided problem with unit variances and constant correlation."""
+    sigma = _real_argument("sigma", sigma)
     cov = np.full((d, d), sigma) + (1.0 - sigma) * np.eye(d)
     return MvnProblem(lower=np.full(d, -np.inf), upper=upper, covariance=cov)
 
@@ -118,6 +119,7 @@ def genz_integrand(problem: MvnProblem) -> Callable[[np.ndarray], np.ndarray]:
     coordinate).
     """
     d = problem.dimension
+    coordinates = max(d - 1, 1)
     L = problem.cholesky
     a, b = problem.lower, problem.upper
     finite_a, finite_b = np.isfinite(a), np.isfinite(b)
@@ -130,6 +132,8 @@ def genz_integrand(problem: MvnProblem) -> Callable[[np.ndarray], np.ndarray]:
 
     def f(x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
+        if x.shape[1] != coordinates:
+            raise ValueError(f"expected {coordinates} coordinates, got {x.shape[1]}")
         # The first row conditions on nothing, so its limits are scalars;
         # infinite limits are the scalars 0 and 1 on every row.
         lo = norm_cdf(a[0] / L[0, 0]) if finite_a[0] else 0.0
@@ -258,6 +262,8 @@ class SobolIndexProblem:
         d = self.dimension
 
         def f(x: np.ndarray) -> np.ndarray:
+            if x.shape[1] != 2 * d:
+                raise ValueError(f"expected {2 * d} coordinates, got {x.shape[1]}")
             # The difference of the base and the single-coordinate mix is
             # the small term that drives the numerator's accuracy, so the
             # base copy gets the leading (best-equidistributed) cube
@@ -340,30 +346,24 @@ class AsianOption:
         d = self.monitors
         return self.maturity * np.arange(1, d + 1) / d
 
-    def brownian_covariance(self) -> np.ndarray:
-        t = self.times
-        return np.minimum(t[:, None], t[None, :])
-
     def path_matrix(self) -> np.ndarray:
-        """PCA factor A with A A^T equal to the Brownian covariance,
-        columns ordered by descending variance contribution, row 0 positive.
+        """PCA factor A with A A^T = min(t_i, t_j), columns by descending variance, row 0 positive.
 
-        The factor depends only on ``monitors`` and ``maturity`` and is
-        computed once per process for each pair; every call returns a
-        fresh copy.
+        It is the closed sine form of :func:`_path_factor`, with no LAPACK
+        call, computed once per process for each (monitors, maturity) pair;
+        every call returns a fresh copy.
         """
         return _path_factor(self.monitors, self.maturity).copy()
 
     def geometric_price(self) -> float:
         """Closed-form price of the geometric-mean Asian call.
 
-        The log geometric mean is normal with moments computed from the
-        monitoring grid, so the price is a lognormal call expectation.
+        The log geometric mean is normal; on the grid t_i = i T / d, mean(t)
+        is T (d+1) / (2d) and the sum of min(t_i, t_j) is T (d+1) (2d+1) / 6.
         """
-        t = self.times
         d = self.monitors
-        mean_log = (self.rate - 0.5 * self.volatility**2) * float(np.mean(t))
-        var_log = self.volatility**2 * float(np.sum(self.brownian_covariance())) / d**2
+        mean_log = (self.rate - 0.5 * self.volatility**2) * self.maturity * (d + 1) / (2 * d)
+        var_log = self.volatility**2 * self.maturity * (d + 1) * (2 * d + 1) / (6 * d**2)
         sd_log = np.sqrt(var_log)
         disc = np.exp(-self.rate * self.maturity)
         forward = self.spot * np.exp(mean_log + 0.5 * var_log)
@@ -378,15 +378,15 @@ class AsianOption:
 def _path_factor(monitors: int, maturity: float) -> np.ndarray:
     """Read-only PCA factor of the Brownian covariance on ``monitors`` even steps to ``maturity``.
 
-    Eigenvector k is proportional to sin((2k-1) i pi / (2d+1)), i = 1..d,
-    whose first entry is positive.  Its two largest entries tie to
-    rounding, so they cannot fix the sign.
+    With d = monitors, T = maturity and theta_k = (2k-1) pi / (2d+1),
+    A[i, k] = sqrt(T / (d (2d+1))) sin(i theta_k) / sin(theta_k / 2), i, k = 1..d:
+    the eigenvalues T / (4 d sin^2(theta_k / 2)) fall with k, and row 0,
+    2 cos(theta_k / 2) times the scale, is positive.
     """
-    cov = AsianOption(maturity=maturity, monitors=monitors).brownian_covariance()
-    lam, vec = np.linalg.eigh(cov)
-    lam, vec = lam[::-1], vec[:, ::-1]
-    vec = vec * np.sign(vec[0])[None, :]
-    factor = vec * np.sqrt(np.maximum(lam, 0.0))[None, :]
+    d = monitors
+    theta = (2 * np.arange(1, d + 1) - 1) * np.pi / (2 * d + 1)
+    factor = np.sin(np.outer(np.arange(1, d + 1), theta)) / np.sin(0.5 * theta)
+    factor *= math.sqrt(maturity / (d * (2 * d + 1)))
     factor.flags.writeable = False
     return factor
 
@@ -409,13 +409,13 @@ def asian_payoffs(option: AsianOption):
     so a payoff used on its own keeps no batch or quantiles alive.
     """
     d = option.monitors
-    A = _path_factor(option.monitors, option.maturity)
-    t = option.times
-    drift = (option.rate - 0.5 * option.volatility**2) * t
+    # The log path is base + z @ weights, with volatility and spot folded in
+    # once; the log geometric mean is its row mean, so linear in the normals.
+    weights = option.volatility * _path_factor(option.monitors, option.maturity).T
+    base = math.log(option.spot) + (option.rate - 0.5 * option.volatility**2) * option.times
     disc = np.exp(-option.rate * option.maturity)
-    # The log geometric mean is linear in the normals.
-    log_geo_base = np.log(option.spot) + drift.mean()
-    log_geo_weights = option.volatility * A.mean(axis=0)
+    log_geo_weights = weights.mean(axis=1)
+    log_geo_base = base.mean()
     handoff = (None, None)
 
     def forget(ref) -> None:
@@ -444,11 +444,9 @@ def asian_payoffs(option: AsianOption):
         return z
 
     def arithmetic(x: np.ndarray) -> np.ndarray:
-        s = normals(x) @ A.T
-        s *= option.volatility
-        s += drift
+        s = normals(x) @ weights
+        s += base
         np.exp(s, out=s)
-        s *= option.spot
         return disc * np.maximum(s.mean(axis=1) - option.strike, 0.0)
 
     def geometric(x: np.ndarray) -> np.ndarray:

@@ -431,11 +431,18 @@ def _numeric_array(name: str, value, dtype: type, error: type) -> np.ndarray:
     integers, or for ``np.float64`` neither integers nor floats.
 
     The dtype is checked before the cast, which would truncate floats, parse
-    strings and take booleans."""
+    strings and take booleans.  numpy promotes a boolean listed beside
+    numbers, so input that is not already an array is also checked element
+    by element."""
     array = np.asarray(value)
     real = dtype is np.float64
+    wanted = "real numbers" if real else "integers"
     if array.size and array.dtype.kind not in ("iuf" if real else "iu"):
-        raise error(f"{name} must hold {'real numbers' if real else 'integers'}, got dtype {array.dtype}")
+        raise error(f"{name} must hold {wanted}, got dtype {array.dtype}")
+    if not isinstance(value, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
+    ):
+        raise error(f"{name} must hold {wanted}, got a boolean")
     return array.astype(dtype, copy=False)
 
 

@@ -381,10 +381,10 @@ class TestIntegrate:
     @pytest.mark.parametrize(
         "seed, row, err, beta",
         [
-            (1, "None,digital,52,1,131072,11.968385613400894,0.575640612788937,tolerance-met",
-             0.0003793549171916298, 1.0335891693433565),
-            (2, "None,digital,52,1,131072,11.968634205841996,0.6985787596196672,tolerance-met",
-             0.0004179051206979508, 1.0377214467220262),
+            (1, "None,digital,52,1,131072,11.968385613400969,0.575640612788937,tolerance-met",
+             0.0003793549171916316, 1.033589169343359),
+            (2, "None,digital,52,1,131072,11.96863420584207,0.6985787596196672,tolerance-met",
+             0.00041790512069795217, 1.0377214467220273),
         ],
     )
     def test_asian_cv_rows_are_pinned(self, seed, row, err, beta, monkeypatch):

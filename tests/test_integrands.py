@@ -1,5 +1,6 @@
 """Normal kernels, Genz transform, Bratley indices, Asian payoffs."""
 
+import math
 import re
 import warnings
 import weakref
@@ -177,12 +178,33 @@ class TestGenz:
             ("upper", [-1.0, -1.0], [True, True], np.eye(2)),
             ("covariance", [-1.0, -1.0], [1.0, 2.0], np.eye(2, dtype=bool)),
             ("covariance", [-1.0, -1.0], [1.0, 2.0], [["1", "0"], ["0", "1"]]),
+            # numpy promotes a bool beside numbers, as [True, 2.0] to [1.0, 2.0]
+            ("upper", [-1.0, -1.0], [True, 2.0], np.eye(2)),
+            ("lower", [np.False_, -1.0], [1.0, 2.0], np.eye(2)),
+            ("covariance", [-1.0, -1.0], [1.0, 2.0], [[1.0, False], [False, 1.0]]),
         ],
     )
     def test_non_numeric_arguments_rejected(self, name, lower, upper, covariance):
         # the float cast used to parse strings and read a bool as 1.0
         with pytest.raises(ValueError, match=f"{name} must hold real numbers"):
             MvnProblem(lower=lower, upper=upper, covariance=covariance)
+
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [("0.5", "sigma must be a real number, not the str '0.5'"), (np.nan, "sigma must be finite"),
+         (True, "sigma must be a real number, not the bool True")],
+    )
+    def test_equicorrelated_sigma_checked(self, sigma, message):
+        # these raised a bare TypeError, "covariance must be symmetric" and a LinAlgError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            equicorrelated_mvn(2, sigma, [1.0, 1.0])
+
+    @pytest.mark.parametrize("d, columns", [(4, 5), (4, 2), (1, 2), (2, 2)])
+    def test_integrand_checks_point_width(self, d, columns):
+        # a fifth column used to be ignored and two columns raised an IndexError
+        f = genz_integrand(equicorrelated_mvn(d, 0.5, np.ones(d)))
+        with pytest.raises(ValueError, match=f"expected {max(d - 1, 1)} coordinates, got {columns}"):
+            f(np.full((4, columns), 0.5))
 
     @pytest.mark.parametrize("covariance", [[[1.0, 0.9], [0.0, 1.0]], [[1.0, 0.0], [0.9, 1.0]]])
     def test_asymmetric_covariance_rejected(self, covariance):
@@ -360,6 +382,13 @@ class TestSobolIndexFunctional:
         f = sobol_index_functional()
         assert f.output_count == 3
 
+    @pytest.mark.parametrize("columns", [11, 13, 6])
+    def test_problem_integrand_checks_point_width(self, columns):
+        # bratley_g used to report "points with six coordinates" for these
+        f = SobolIndexProblem(model=bratley_g, coordinate=2, dimension=6).integrand()
+        with pytest.raises(ValueError, match=f"expected 12 coordinates, got {columns}"):
+            f(np.full((4, columns), 0.5))
+
     def test_problem_integrand_shapes_and_means(self):
         prob = SobolIndexProblem(model=bratley_g, coordinate=2, dimension=6)
         f = prob.integrand()
@@ -394,21 +423,33 @@ class TestSobolIndexFunctional:
 
 
 class TestAsianOption:
+    @staticmethod
+    def covariance(opt):
+        t = opt.times
+        return np.minimum(t[:, None], t[None, :])
+
     def test_path_matrix_factorizes_covariance(self):
         opt = AsianOption()
         A = opt.path_matrix()
-        assert np.abs(A @ A.T - opt.brownian_covariance()).max() < 1e-8
+        assert np.abs(A @ A.T - self.covariance(opt)).max() < 1e-8
         variances = (A**2).sum(axis=0)
         assert (np.diff(variances) <= 1e-12).all()
         assert (A[0] > 0).all()
 
-    @pytest.mark.parametrize("monitors, maturity", [(52, 1.0), (12, 2.0), (3, 0.25)])
-    def test_path_matrix_is_fresh_eigh_factor(self, monitors, maturity):
+    @pytest.mark.parametrize("monitors", [1, 3, 12, 52, 250])
+    def test_path_matrix_factors_covariance_to_rounding(self, monitors):
+        # an eigh factor missed by 2.0e-14 at d = 250
+        opt = AsianOption(monitors=monitors)
+        A = opt.path_matrix()
+        assert np.abs(A @ A.T - self.covariance(opt)).max() <= 4e-15
+
+    @pytest.mark.parametrize("monitors, maturity", [(52, 1.0), (12, 2.0), (3, 0.25), (1, 1.0)])
+    def test_path_matrix_is_fresh_closed_form(self, monitors, maturity):
         opt = AsianOption(monitors=monitors, maturity=maturity)
-        lam, vec = np.linalg.eigh(opt.brownian_covariance())
-        lam, vec = lam[::-1], vec[:, ::-1]
-        vec = vec * np.sign(vec[0])[None, :]
-        expect = vec * np.sqrt(np.maximum(lam, 0.0))[None, :]
+        d = monitors
+        theta = (2 * np.arange(1, d + 1) - 1) * np.pi / (2 * d + 1)
+        expect = np.sin(np.outer(np.arange(1, d + 1), theta)) / np.sin(0.5 * theta)
+        expect *= math.sqrt(maturity / (d * (2 * d + 1)))
         for _ in range(2):
             assert np.array_equal(opt.path_matrix(), expect)
         x = q.make_generator("digital", monitors, 7).points(0, 256).points
@@ -421,6 +462,23 @@ class TestAsianOption:
         arith, geo, _ = asian_payoffs(opt)
         assert np.array_equal(arith(x.copy()), before[0])
         assert np.array_equal(geo(x.copy()), before[1])
+
+    @pytest.mark.parametrize(
+        "fields", [{}, {"monitors": 12, "maturity": 2.0}, {"monitors": 1}, {"monitors": 250, "strike": 80.0},
+                   {"rate": 0.1, "volatility": 0.2, "maturity": 0.25, "monitors": 3}],
+    )
+    def test_geometric_price_matches_covariance_sum(self, fields):
+        opt = AsianOption(**fields)
+        d = opt.monitors
+        mean_log = (opt.rate - 0.5 * opt.volatility**2) * float(np.mean(opt.times))
+        var_log = opt.volatility**2 * float(np.sum(self.covariance(opt))) / d**2
+        sd_log = math.sqrt(var_log)
+        forward = opt.spot * math.exp(mean_log + 0.5 * var_log)
+        d2 = (math.log(opt.spot / opt.strike) + mean_log) / sd_log
+        expect = math.exp(-opt.rate * opt.maturity) * (
+            forward * float(norm_cdf(d2 + sd_log)) - opt.strike * float(norm_cdf(d2))
+        )
+        assert opt.geometric_price() == pytest.approx(expect, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "fields, message",

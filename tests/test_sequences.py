@@ -479,9 +479,11 @@ class TestLattice:
         with pytest.raises(LatticeVectorError, match="component 1 is 6;"):
             LatticeGenerator([1, 6], m_max=6)
 
-    @pytest.mark.parametrize("vector", [[1.5, 3.9], ["3", "5"], np.array([1.0, 3.0]), [True, True]])
+    @pytest.mark.parametrize("vector", [[1.5, 3.9], ["3", "5"], np.array([1.0, 3.0]), [True, True],
+                                        [True, 3], [3, np.True_], (1, 3, False)])
     def test_non_integer_vector_rejected(self, vector):
-        # the int64 cast used to truncate [1.5, 3.9] to [1, 3] and parse strings
+        # the int64 cast used to truncate [1.5, 3.9] to [1, 3] and parse strings,
+        # and numpy promotes [True, 3] to [1, 3]
         with pytest.raises(LatticeVectorError, match="generating_vector must hold integers"):
             LatticeGenerator(vector, m_max=20)
 
