@@ -149,29 +149,30 @@ def _apply_scramble(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     ``rows[c, r]`` is the mask of row r+1 (digit r+1 of the output) of
     coordinate c's matrix; output digit r+1 of ``cols[c, j]`` is the
-    parity of ``rows[c, r] & cols[c, j]``.  Each block of at most
-    ``_SCRAMBLE_COORDINATES`` coordinates takes four whole-array passes:
-    AND every column with every row, taking the rows last digit first so
-    that digit r+1 sits at place 51 - r; count the bits of each product;
-    keep their parity; pack the 52 parities of each column, padded with
-    zeros to 64, into one little-endian integer.  The work space is one
-    block's (block, 52, 52) products and (block, 52, 64) parity bytes,
-    about 400 KiB at any d.
+    parity of ``rows[c, r] & cols[c, j]``.  ``cols`` has shape (d, k) for
+    any k <= 52, so a lazy scramble multiplies only the columns it needs.
+    Each block of at most ``_SCRAMBLE_COORDINATES`` coordinates takes four
+    whole-array passes: AND every column with every row, taking the rows
+    last digit first so that digit r+1 sits at place 51 - r; count the
+    bits of each product; keep their parity; pack the 52 parities of each
+    column, padded with zeros to 64, into one little-endian integer.  The
+    work space is one block's (block, k, 52) products and (block, k, 64)
+    parity bytes, about 400 KiB at any d when k = 52.
     """
-    d = cols.shape[0]
+    d, k = cols.shape
     block = min(d, _SCRAMBLE_COORDINATES)
     reversed_rows = rows[:, ::-1]
-    products = np.empty((block, PRECISION, PRECISION), dtype=np.uint64)
-    parities = np.zeros((block, PRECISION, 64), dtype=np.uint8)  # places 52-63 stay 0
-    out = np.empty((d, PRECISION), dtype=np.uint64)
+    products = np.empty((block, k, PRECISION), dtype=np.uint64)
+    parities = np.zeros((block, k, 64), dtype=np.uint8)  # places 52-63 stay 0
+    out = np.empty((d, k), dtype=np.uint64)
     for lo in range(0, d, block):
-        k = min(block, d - lo)
-        prod, par = products[:k], parities[:k]
-        np.bitwise_and(cols[lo : lo + k, :, None], reversed_rows[lo : lo + k, None, :], out=prod)
+        c = min(block, d - lo)
+        prod, par = products[:c], parities[:c]
+        np.bitwise_and(cols[lo : lo + c, :, None], reversed_rows[lo : lo + c, None, :], out=prod)
         np.bitwise_count(prod, out=par[:, :, :PRECISION])
         par &= 1
         packed = np.packbits(par.reshape(-1), bitorder="little")
-        out[lo : lo + k] = packed.view("<u8").reshape(k, PRECISION)
+        out[lo : lo + c] = packed.view("<u8").reshape(c, k)
     return out
 
 
@@ -269,18 +270,27 @@ class DigitalGenerator:
     shift : (d,) uint64 array, optional
         Digital shift per coordinate, 52 fractional bits.  Defaults to 0.
         Entries of both arrays must be below 2**52.
+
+    A generator from ``randomize_digital`` holds its scramble's row masks
+    and its template's columns instead, and scrambles column b the first
+    time a ``points`` range, or the first build of its table, reaches
+    index bit b.  Every call of ``_apply_scramble`` has a fixed cost, so a
+    growth scrambles twice the columns it needs (capped at 52), which at
+    least doubles the scrambled prefix.  At d = 52 the table reads 10
+    columns, so the first ``points`` call scrambles at least 20, enough
+    for 2**20 points.  A generator built from given columns has all 52
+    done.  Reading ``columns`` completes the scramble and drops the rows
+    and the template.
     """
 
     family = "digital"
     max_level = PRECISION
 
     def __init__(self, columns, shift=None):
-        self.columns = _numeric_array("columns", columns, np.uint64, ValueError)
-        if self.columns.ndim != 2 or self.columns.shape[0] < 1 or self.columns.shape[1] != PRECISION:
-            raise ValueError(
-                f"columns must have shape (d >= 1, {PRECISION}), got {self.columns.shape}"
-            )
-        d = self.columns.shape[0]
+        columns = _numeric_array("columns", columns, np.uint64, ValueError)
+        if columns.ndim != 2 or columns.shape[0] < 1 or columns.shape[1] != PRECISION:
+            raise ValueError(f"columns must have shape (d >= 1, {PRECISION}), got {columns.shape}")
+        d = columns.shape[0]
         self.shift = (
             np.zeros(d, dtype=np.uint64)
             if shift is None
@@ -290,31 +300,68 @@ class DigitalGenerator:
             raise ValueError(f"shift must have shape ({d},), got {self.shift.shape}")
         # The points carry the bits of 1.0 above the entries' 52 bits; a
         # higher bit would land in a float's exponent or sign.
-        for name, bits in (("columns", self.columns), ("shift", self.shift)):
+        for name, bits in (("columns", columns), ("shift", self.shift)):
             if bits.max() >= 1 << PRECISION:
                 raise ValueError(f"{name} must fit in {PRECISION} bits, below 2**{PRECISION}")
-        self.columns = _read_only_copy(self.columns)
+        self._scramble = (_read_only_copy(columns), None, None)
         self._table = None
+
+    @classmethod
+    def _scrambled(cls, rows: np.ndarray, template: np.ndarray, shift: np.ndarray) -> DigitalGenerator:
+        """Generator whose column b is ``_apply_scramble(rows, template[:, b])``, none done yet.
+
+        The caller vouches for the bounds that ``__init__`` checks."""
+        gen = cls.__new__(cls)
+        gen.shift = shift
+        gen._scramble = (np.empty((template.shape[0], 0), dtype=np.uint64), rows, template)
+        gen._table = None
+        return gen
+
+    def _columns_through(self, k: int) -> np.ndarray:
+        """Read-only scrambled columns, at least the first ``k`` of them.
+
+        ``_scramble`` is one tuple (done columns, row masks, template
+        columns), so the count of done columns, the width of the first
+        entry, is published with the columns themselves.  Two concurrent
+        growths at worst scramble a column twice, with identical bits.
+        """
+        done, rows, template = self._scramble
+        have = done.shape[1]
+        if have >= k:
+            return done
+        k = min(2 * k, PRECISION)
+        done = np.concatenate([done, _apply_scramble(rows, template[:, have:k])], axis=1)
+        done.flags.writeable = False
+        self._scramble = (done, rows, template) if k < PRECISION else (done, None, None)
+        return done
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The read-only (d, 52) generator-matrix columns; reading them completes the scramble."""
+        return self._columns_through(PRECISION)
 
     @property
     def dimension(self) -> int:
-        return self.columns.shape[0]
+        return self._scramble[0].shape[0]
 
     def points(self, start: int, count: int) -> PointBatch:
         """Generate points x_i = C z_i xor shift in natural order: the 52-bit
         integer of index i is the shift XOR the columns of i's set bits.
 
-        The first call builds the generator's table of its first points
-        (see ``_doubled_points``) from the read-only ``columns``.  The
-        table's entries carry the bits of 1.0, which XOR
+        The call first scrambles the columns its range and the table need
+        (see ``_columns_through``).  The first call builds the generator's
+        table of its first points (see ``_doubled_points``).  The table's
+        entries carry the bits of 1.0, which XOR
         leaves alone, so every integer reads as the float 1 + x_i and one
         exact subtraction makes x_i.
         """
         start, count = _check_index_range(start, count, self.max_level)
+        table_bits = _block_rows(self.dimension).bit_length() - 1
+        cols = self._columns_through(max(table_bits, (start + count - 1).bit_length()))
         if self._table is None:
             origin = np.full(self.dimension, _ONE_BITS)
-            self._table = _point_table(self.columns, origin, np.bitwise_xor, self.max_level)
-        ints = _doubled_points(start, count, self.columns, self.shift, np.bitwise_xor, self._table)
+            self._table = _point_table(cols, origin, np.bitwise_xor, self.max_level)
+        ints = _doubled_points(start, count, cols, self.shift, np.bitwise_xor, self._table)
         floats = ints.T.view(np.float64)
         floats -= 1.0
         return PointBatch(floats)
@@ -544,31 +591,44 @@ def default_lattice_generator(dimension: int) -> LatticeGenerator:
     )
 
 
+def _seed_argument(seed) -> int:
+    """``seed`` as a Python int; ValueError naming it unless it is a nonnegative integer, not a bool."""
+    seed = _integer_argument("seed", seed, ValueError)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def randomize_digital(template: DigitalGenerator, seed) -> DigitalGenerator:
     """Draw an independent scramble and digital shift for every coordinate.
 
     Scramble matrices are lower triangular with unit diagonal, so the
     scrambled points remain a digital net; the same seed reproduces the
     generator bit for bit (PCG64 stream: every scramble row, then every
-    shift).  The scramble acts on ``template.columns``: a template that is
-    itself scrambled gets a second scramble on top of its own.  The
-    product runs over blocks of coordinates (see ``_apply_scramble``), so
-    its work space stays about 400 KiB at any dimension.
+    shift).  ``seed`` must be a nonnegative integer.  The scramble acts on
+    ``template.columns``: a template that is itself scrambled gets a
+    second scramble on top of its own.  Nothing is multiplied here: the
+    generator keeps the row masks and the template's columns and
+    scrambles each column when a point first needs it (see
+    ``DigitalGenerator``), so a set-up pays for its seed's draws alone.
+    The product runs over blocks of coordinates (see ``_apply_scramble``),
+    so its work space stays about 400 KiB at any dimension.
     """
-    rng = np.random.default_rng(seed)
-    d = template.dimension
+    rng = np.random.default_rng(_seed_argument(seed))
+    cols = template.columns
+    d = cols.shape[0]
     # Draws are below 2**52, so their int64 bits read as the same uint64.
     rows = rng.integers(0, 1 << PRECISION, size=(d, PRECISION), dtype=np.int64).view(np.uint64)
     rows &= _ROW_LOW_MASKS
     rows <<= _ROW_SHIFTS
     rows |= _DIGITS
     shift = rng.integers(0, 1 << PRECISION, size=d, dtype=np.int64).view(np.uint64)
-    return DigitalGenerator(_apply_scramble(rows, template.columns), shift)
+    return DigitalGenerator._scrambled(rows, cols, shift)
 
 
 def randomize_lattice(template: LatticeGenerator, seed) -> LatticeGenerator:
-    """Draw a uniform shift modulo 1 for every coordinate."""
-    rng = np.random.default_rng(seed)
+    """Draw a uniform shift modulo 1 for every coordinate; ``seed`` must be a nonnegative integer."""
+    rng = np.random.default_rng(_seed_argument(seed))
     shift = rng.random(template.dimension)
     return LatticeGenerator(template.generating_vector, template.max_level, shift=shift)
 
@@ -577,7 +637,8 @@ def make_generator(family: str, dimension: int, seed):
     """Randomized generator of the requested family backed by packaged data.
 
     ``"digital"`` scrambles the packaged direction table (``max_level`` 52);
-    ``"lattice"`` shifts the packaged generating vector (modulus 2**20)."""
+    ``"lattice"`` shifts the packaged generating vector (modulus 2**20).
+    ``seed`` must be a nonnegative integer."""
     if family == "digital":
         return randomize_digital(default_digital_generator(dimension), seed)
     if family == "lattice":

@@ -144,6 +144,12 @@ BASELINE_STRATEGIES = ("iid-replications", "internal-replications", "quasi-stand
 BASELINE_INFLATION = 1.2
 
 
+def replicate_seeds(seed, repeats: int) -> list[int]:
+    """One integer generator seed per replicate, each drawn from its own
+    stream spawned from ``seed`` (anything ``np.random.default_rng`` takes)."""
+    return [int(rng.integers(1 << 63)) for rng in np.random.default_rng(seed).spawn(repeats)]
+
+
 def heuristic_baselines(
     f: Callable[[np.ndarray], np.ndarray],
     dimension: int,
@@ -161,8 +167,8 @@ def heuristic_baselines(
     Points are evaluated in the same bounded blocks as :func:`qmcube.integrate`,
     so a non-finite value raises :class:`qmcube.EvaluationError` with its
     point index.  ``seed`` takes anything ``np.random.default_rng`` does;
-    ``"iid-replications"`` gives replicate r the r-th of ``repeats``
-    generators spawned from it.
+    ``"iid-replications"`` gives replicate r the r-th seed of
+    :func:`replicate_seeds`.
     """
     if repeats < 2:
         raise ValueError("at least two replicates are required")
@@ -170,8 +176,8 @@ def heuristic_baselines(
         raise ValueError("n must be positive")
     if strategy == "iid-replications":
         means = np.empty(repeats)
-        for rep, rng in enumerate(np.random.default_rng(seed).spawn(repeats)):
-            gen = make_generator(family, dimension, rng)
+        for rep, rep_seed in enumerate(replicate_seeds(seed, repeats)):
+            gen = make_generator(family, dimension, rep_seed)
             means[rep] = float(np.mean(_evaluate((f,), gen, 0, n)[0]))
     elif strategy == "internal-replications":
         gen = make_generator(family, dimension, seed)

@@ -25,7 +25,7 @@ from qmcube.control_variates import ControlVariateSpec, cv_integrate
 from qmcube.integrands import AsianOption, adaptive_gauss_legendre, asian_payoffs, norm_inv_cdf
 from qmcube.ledger import EvaluationError, _block_rows
 from qmcube.sequences import DirectionTableError, make_generator
-from oracles import BASELINE_STRATEGIES, heuristic_baselines, tolerance_value
+from oracles import BASELINE_STRATEGIES, heuristic_baselines, replicate_seeds, tolerance_value
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -443,8 +443,8 @@ def baseline_means_one_batch(f, dimension, strategy, repeats, n, family, seed):
     formula the baselines used before blocked evaluation."""
     if strategy == "iid-replications":
         means = np.empty(repeats)
-        for rep, rng in enumerate(np.random.default_rng(seed).spawn(repeats)):
-            gen = make_generator(family, dimension, rng)
+        for rep, rep_seed in enumerate(replicate_seeds(seed, repeats)):
+            gen = make_generator(family, dimension, rep_seed)
             means[rep] = float(np.mean(f(gen.points(0, n).points)))
         return means
     if strategy == "internal-replications":
@@ -499,7 +499,7 @@ class TestHeuristicBaselines:
             gen = make_generator("digital", dimension * repeats, seed)
             target = gen.points(index, 1).points[0, 2 * dimension : 3 * dimension]
         elif strategy == "iid-replications":
-            first = np.random.default_rng(seed).spawn(repeats)[0]
+            first = replicate_seeds(seed, repeats)[0]
             target = make_generator("digital", dimension, first).points(index, 1).points[0]
         else:
             target = make_generator("digital", dimension, seed).points(index, 1).points[0]

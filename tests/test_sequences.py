@@ -1,6 +1,8 @@
 """Generator tests: parsing, group structure, determinism, uniformity."""
 
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmcube import sequences
+from qmcube import Tolerance, integrate_scalar, sequences
 from qmcube.sequences import (
     DigitalGenerator,
     DirectionTableError,
@@ -95,13 +97,14 @@ def scramble_reference(rows, cols):
 
 @st.composite
 def scramble_inputs(draw):
-    """Unit lower-triangular row masks and arbitrary 52-bit columns, d <= 70."""
+    """Unit lower-triangular row masks and k <= 52 arbitrary 52-bit columns, d <= 70."""
     d = draw(st.integers(1, 70))
-    bits52 = arrays(np.uint64, (d, 52), elements=st.integers(0, (1 << 52) - 1))
-    low = draw(bits52) & ((np.uint64(1) << np.arange(52, dtype=np.uint64)) - np.uint64(1))
+    k = draw(st.integers(1, 52))
+    bits52 = lambda width: arrays(np.uint64, (d, width), elements=st.integers(0, (1 << 52) - 1))
+    low = draw(bits52(52)) & ((np.uint64(1) << np.arange(52, dtype=np.uint64)) - np.uint64(1))
     digits = np.uint64(1) << np.arange(51, -1, -1, dtype=np.uint64)
     rows = (low << np.arange(52, 0, -1, dtype=np.uint64)) | digits
-    return rows, draw(bits52)
+    return rows, draw(bits52(k))
 
 
 class TestDirectionTable:
@@ -298,7 +301,7 @@ class TestDigitalRandomization:
         make_generator("digital", 1024, 1)  # expand the table rows first
         tracemalloc.start()
         try:
-            make_generator("digital", 1024, 1)
+            make_generator("digital", 1024, 1).columns  # all 52 columns in one growth
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,6 +391,154 @@ class TestDigitalRandomization:
         assert np.array_equal(pts, expect)
         assert pts[0, 0] == 0.0 and pts[0, 1] == 1.0 - 2.0**-52
         assert pts.dtype == np.float64 and pts.flags.f_contiguous
+
+
+class TestLazyScramble:
+    """A randomized digital generator scrambles column b when a point first needs it."""
+
+    @staticmethod
+    def count_scrambled_columns(monkeypatch):
+        counts = []
+        scramble = sequences._apply_scramble
+        monkeypatch.setattr(
+            sequences, "_apply_scramble", lambda rows, cols: counts.append(cols.shape[1]) or scramble(rows, cols)
+        )
+        return counts
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            # d = 5: the first call scrambles 26 columns, twice the table's 13
+            [(0, 1), (1, 1023), (1023, 2), (0, 1 << 11), ((1 << 20) - 3, 6), ((1 << 26) - 1, 2)],
+            [((1 << 40) - 2, 4), (1 << 40, 3)],
+            [((1 << 52) - 3, 3), (5, 7)],
+            [((1 << 52) - 1, 1)],
+        ],
+    )
+    def test_points_match_reference_across_column_boundaries(self, ranges):
+        d, seed = 5, 13
+        ref_cols, ref_shift = randomize_reference(template_columns_reference(d), seed)
+        eager = DigitalGenerator(ref_cols, ref_shift)
+        gen = make_generator("digital", d, seed)
+        for start, count in ranges:
+            got = gen.points(start, count).points
+            assert np.array_equal(got, eager.points(start, count).points)
+            # the points of the last index come from their definition too
+            last = start + count - 1
+            assert np.array_equal(got[-1], digital_oracle(eager, last))
+
+    def test_columns_match_reference_whenever_read(self):
+        d, seed = 7, 4
+        ref_cols, _ = randomize_reference(template_columns_reference(d), seed)
+        for schedule in ([], [(0, 64)], [(0, 64), ((1 << 30) - 1, 2)]):
+            gen = make_generator("digital", d, seed)
+            before = [gen.points(start, count).points for start, count in schedule]
+            cols = gen.columns
+            assert np.array_equal(cols, ref_cols) and cols.shape == (d, 52)
+            with pytest.raises(ValueError, match="read-only"):
+                cols[0, 0] ^= np.uint64(1)
+            assert gen.columns is cols and gen._scramble[1:] == (None, None)  # rows and template dropped
+            after = [gen.points(start, count).points for start, count in schedule]
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+            assert np.array_equal(gen.points((1 << 52) - 2, 2).points,
+                                  DigitalGenerator(ref_cols, gen.shift).points((1 << 52) - 2, 2).points)
+
+    def test_scrambled_template_gets_a_second_scramble(self):
+        d = 6
+        once, _ = randomize_reference(template_columns_reference(d), 3)
+        twice, shift = randomize_reference(once, 9)
+        for reads in (0, 1 << 12):
+            template = make_generator("digital", d, 3)
+            template.points(0, reads)  # lazily scrambled in part, or (reads = 0) only for the table
+            gen = randomize_digital(template, 9)
+            assert np.array_equal(gen.columns, twice) and np.array_equal(gen.shift, shift)
+
+    def test_set_up_scrambles_no_column(self, monkeypatch):
+        counts = self.count_scrambled_columns(monkeypatch)
+        gen = make_generator("digital", 52, 1)
+        assert counts == [] and gen._scramble[0].shape == (52, 0)
+        gen.points(0, 1 << 17)  # the table reads 10 columns, the range 17
+        assert counts == [34]
+        gen.points(1 << 17, 1 << 10)
+        assert counts == [34]
+        assert gen.columns.shape == (52, 52)
+        assert counts == [34, 18]  # every column scrambled once
+        gen.points((1 << 52) - 1, 1)
+        randomize_digital(default_digital_generator(3), 2)
+        assert counts == [34, 18]
+
+    def test_concurrent_growths_agree(self):
+        # Threads share one fresh generator: each growth publishes its columns
+        # and their count together, so no thread reads a column before it is
+        # written, whichever growth lands last.
+        d, seed = 3, 21
+        ref_cols, ref_shift = randomize_reference(template_columns_reference(d), seed)
+        eager = DigitalGenerator(ref_cols, ref_shift)
+        ranges = [((1 << b) - 2, 4) for b in range(2, 52, 3)]
+        expect = [eager.points(start, count).points for start, count in ranges]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                gen = make_generator("digital", d, seed)
+                failures = []
+
+                def read(order):
+                    for i in order:
+                        if not np.array_equal(gen.points(*ranges[i]).points, expect[i]):
+                            failures.append(i)
+                    if not np.array_equal(gen.columns, ref_cols):
+                        failures.append("columns")
+
+                orders = [range(len(ranges)), range(len(ranges) - 1, -1, -1)] * 3
+                threads = [threading.Thread(target=read, args=(order,)) for order in orders]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert failures == []
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_given_columns_are_all_done(self, monkeypatch):
+        counts = self.count_scrambled_columns(monkeypatch)
+        cols = default_digital_generator(3).columns
+        gen = DigitalGenerator(cols)
+        gen.points((1 << 52) - 4, 4)
+        assert counts == [] and np.array_equal(gen.columns, cols)
+
+
+class TestSeedArgument:
+    @pytest.mark.parametrize("family", ["digital", "lattice"])
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(True, "seed must be an integer, got True"), ([1, 2], r"seed must be an integer, got \[1, 2\]"),
+         (1.5, "seed must be an integer, got 1.5"), (-1, "seed must be nonnegative, got -1"),
+         (None, "seed must be an integer, got None")],
+    )
+    def test_bad_seed_rejected(self, family, seed, message):
+        template = {"digital": default_digital_generator, "lattice": default_lattice_generator}[family](3)
+        randomize = {"digital": randomize_digital, "lattice": randomize_lattice}[family]
+        with pytest.raises(ValueError, match=message):
+            make_generator(family, 3, seed)
+        with pytest.raises(ValueError, match=message):
+            randomize(template, seed)
+
+    @pytest.mark.parametrize("family", ["digital", "lattice"])
+    def test_numpy_integer_seeds_match_int(self, family):
+        ref = make_generator(family, 3, 7)
+        for seed in (np.int64(7), np.uint8(7)):
+            gen = make_generator(family, 3, seed)
+            assert np.array_equal(gen.shift, ref.shift)
+            assert np.array_equal(gen.points(0, 64).points, ref.points(0, 64).points)
+
+    def test_bad_seed_never_reaches_a_result_row(self):
+        f = lambda x: np.prod(2.0 * x, axis=1)
+        with pytest.raises(ValueError, match="seed must be an integer, got True"):
+            integrate_scalar(f, 3, Tolerance(abs_tol=1e-3), seed=True)
+        with pytest.raises(ValueError, match=r"seed must be an integer, got \[1, 2\]"):
+            integrate_scalar(f, 3, Tolerance(abs_tol=1e-3), seed=[1, 2])
 
 
 class TestLattice:

@@ -1,6 +1,7 @@
 """In-process A/B timing of one benchmark workload: the working tree against a git ref.
 
     python3 tools/ab_inprocess.py --workload asian-cv-digital --ref HEAD --pairs 60
+    python3 tools/ab_inprocess.py --workload asian-cv-digital --ref HEAD --pairs 60 --fresh-setup
 
 Both trees run in one process.  The ref is unpacked with ``git archive``
 into a temporary directory; each tree's ``src/qmcube`` and
@@ -13,6 +14,11 @@ interquartile range, the median over pairs of the working tree's time
 divided by the ref's, and the share of pairs the working tree won.  The
 result rows of the two trees are compared on every call; a mismatch is
 reported and makes the exit status 1.
+
+By default each tree's set-up is built once and every call reuses it, so
+work that a change moves out of set-up and into the first call would be
+charged to no call.  ``--fresh-setup`` builds a new set-up before every
+timed call and reports the set-up times and the call times separately.
 """
 
 from __future__ import annotations
@@ -65,6 +71,14 @@ class Tree:
             for name in self.modules:
                 del sys.modules[name]
 
+    def setup(self, workload: str, seed: int):
+        """(wall seconds, solve) of one set-up."""
+        with self.active():
+            start = perf_counter()
+            solve = self.workloads[workload].setup(seed, lambda fn: fn)
+            wall = perf_counter() - start
+        return wall, solve
+
     def call(self, solve):
         """(wall seconds, result row) of one call."""
         with self.active():
@@ -88,12 +102,25 @@ def iqr(samples: list[float]) -> float:
     return q3 - q1
 
 
+def report(what: str, ref: str, trees, walls: list[list[float]]) -> None:
+    """Each tree's median and IQR of ``walls``, and the paired work/ref ratio."""
+    for tree, w in zip(trees, walls):
+        spread = f" iqr={1e3 * iqr(w):.3f} ms" if len(w) > 1 else ""
+        print(f"{tree.label} {what}: median={1e3 * statistics.median(w):.3f} ms{spread}")
+    ratios = [a / b for a, b in zip(*walls)]
+    won = sum(r < 1.0 for r in ratios) / len(ratios)
+    print(f"{what}: paired median ratio work/{ref} = {statistics.median(ratios):.4f}; "
+          f"work faster in {won:.0%} of pairs")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--ref", default="HEAD")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--fresh-setup", action="store_true",
+                        help="build a new set-up before every timed call and time both")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -104,31 +131,30 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = [Tree("work", ROOT), Tree(args.ref, archive(args.ref, Path(tmp)))]
-        solves = []
         for tree in trees:
             if args.workload not in tree.workloads:
                 raise SystemExit(f"{tree.label}: unknown workload {args.workload!r}")
-            with tree.active():
-                solves.append(tree.workloads[args.workload].setup(args.seed, lambda fn: fn))
+        solves = [tree.setup(args.workload, args.seed)[1] for tree in trees]
         rows = [tree.call(solve)[1] for tree, solve in zip(trees, solves)]  # warm-up
         same = rows[0] == rows[1]
+        setups: list[list[float]] = [[], []]
         walls: list[list[float]] = [[], []]
         for k in range(args.pairs):
             for i in ((0, 1) if k % 2 == 0 else (1, 0)):
+                if args.fresh_setup:
+                    setup_wall, solves[i] = trees[i].setup(args.workload, args.seed)
+                    setups[i].append(setup_wall)
                 wall, row = trees[i].call(solves[i])
                 walls[i].append(wall)
                 if row != rows[i]:
                     same = False
                     print(f"# {trees[i].label}: pair {k} gave another row: {row}")
 
-    print(f"# workload={args.workload} seed={args.seed} pairs={args.pairs}")
-    for tree, w in zip(trees, walls):
-        spread = f" iqr={1e3 * iqr(w):.2f} ms" if len(w) > 1 else ""
-        print(f"{tree.label}: median={1e3 * statistics.median(w):.2f} ms{spread}")
-    ratios = [a / b for a, b in zip(*walls)]
-    won = sum(r < 1.0 for r in ratios) / len(ratios)
-    print(f"paired median ratio work/{args.ref} = {statistics.median(ratios):.4f}; "
-          f"work faster in {won:.0%} of pairs")
+    mode = " fresh-setup" if args.fresh_setup else ""
+    print(f"# workload={args.workload} seed={args.seed} pairs={args.pairs}{mode}")
+    if args.fresh_setup:
+        report("set-up", args.ref, trees, setups)
+    report("call", args.ref, trees, walls)
     if not same:
         print(f"# RESULT ROWS DIFFER\n#   work: {rows[0]}\n#   {args.ref}: {rows[1]}")
         return 1
