@@ -42,13 +42,10 @@ class ConeParams:
 
     def __post_init__(self):
         for name in ("l_star", "r", "m_max"):
-            object.__setattr__(self, name, _integer_argument(name, getattr(self, name), ValueError))
+            lo = self.min_level if name == "m_max" else 1  # l_star + r, both set by then
+            object.__setattr__(self, name, _integer_argument(name, getattr(self, name), ValueError, lo))
         for name in ("bound_scale", "rho_scale", "rho_cap"):
             object.__setattr__(self, name, _real_argument(name, getattr(self, name)))
-        if self.l_star < 1 or self.r < 1:
-            raise ValueError("l_star and r must be positive integers")
-        if self.m_max < self.l_star + self.r:
-            raise ValueError("m_max must be at least l_star + r")
         if self.bound_scale <= 0:
             raise ValueError("bound_scale must be positive")
         if self.rho_scale < 0 or self.rho_cap < 0:
@@ -121,7 +118,7 @@ def necessary_condition(
     ell: int,
     params: ConeParams,
 ) -> list[ViolationReport]:
-    """Check one tier of ``ledger`` against the same tier of ``other``.
+    """Check tier ``ell``, an integer in [l_star, min(m, m')], of ``ledger`` against ``other``.
 
     The true tier sum is at least the observed one deflated by aliasing
     (left side, from ``ledger`` at level m) and at most the observed one
@@ -138,8 +135,7 @@ def necessary_condition(
     cross-level mass movement this check exists to expose.
     """
     m, m_prime = ledger.m, other.m
-    if not (params.l_star <= ell <= min(m, m_prime)):
-        raise ValueError(f"tier ell={ell} must satisfy l_star <= ell <= min(m, m')")
+    ell = _integer_argument("ell", ell, ValueError, params.l_star, min(m, m_prime))
     rho_right = params.rho(m_prime - ell)
     if rho_right >= 1.0:
         return []

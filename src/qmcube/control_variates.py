@@ -20,7 +20,7 @@ import numpy as np
 from .cone import ConeParams, error_bound, necessary_condition  # noqa: F401
 from .engine import CubatureResult, Tolerance, _adapt, _resolve_generator, identity_functional
 from .ledger import CoefficientLedger, _evaluate, fwht, lattice_dft
-from .sequences import _numeric_array
+from .sequences import _integer_argument, _numeric_array
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ def beta_qmc(f_coefficients: np.ndarray, g_coefficients: np.ndarray, m: int, r: 
     per control; complex coefficients are stacked into a real system
     solved by ``np.linalg.lstsq``.  Singular values up to 1e-6 times the
     largest count as zero; a rank-deficient system falls back to beta = 0
-    with a flag (controls uninformative here).  Requires 1 <= r < m.
+    with a flag (controls uninformative here).  Requires integers 1 <= r < m.
     """
-    if not 1 <= r < m:
-        raise ValueError(f"r={r} must lie in [1, m) for level m={m}")
+    m = _integer_argument("m", m, ValueError, 2)
+    r = _integer_argument("r", r, ValueError, 1, m - 1)
     lo = 1 << (m - r - 1)
     f_part = _stack_real(f_coefficients[lo:])
     g_part = _stack_real(g_coefficients[lo:])

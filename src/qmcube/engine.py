@@ -18,7 +18,7 @@ import numpy as np
 
 from .cone import ConeParams, IntervalEstimate, ViolationReport, error_bound, necessary_condition
 from .ledger import CoefficientLedger, build_ledger
-from .sequences import _real_argument, make_generator
+from .sequences import _integer_argument, _real_argument, make_generator
 
 STATUS_TOLERANCE_MET = "tolerance-met"
 STATUS_BUDGET_EXHAUSTED = "budget-exhausted"
@@ -49,11 +49,14 @@ class Tolerance:
 
 
 def _check_interval(v_minus: float, v_plus: float) -> tuple[float, float]:
+    """The endpoints as Python floats; ValueError unless they are reals, not bools, with v- <= v+."""
+    v_minus = _real_argument("v_minus", v_minus, finite=False)
+    v_plus = _real_argument("v_plus", v_plus, finite=False)
     if not v_minus <= v_plus:
         raise ValueError(
             f"v_minus must not exceed v_plus, and neither may be NaN: [{v_minus}, {v_plus}]"
         )
-    return float(v_minus), float(v_plus)
+    return v_minus, v_plus
 
 
 def optimal_estimate(v_minus: float, v_plus: float, tol: Tolerance) -> float:
@@ -106,12 +109,16 @@ def sup_tolerance(v_minus: float, v_plus: float, tol: Tolerance) -> float:
 class SolutionFunctional:
     """A scalar function v of several integrals, given by its interval oracle.
 
-    ``bounds`` maps the box (mu_hat - err, mu_hat + err), intersected with
-    v's domain, to the extreme values (v-, v+).
+    ``bounds`` maps the box (mu_hat - err, mu_hat + err) of the ``output_count``
+    integrals (an integer, at least 1), intersected with v's domain, to the extremes (v-, v+).
     """
 
     output_count: int
     bounds: Callable[[np.ndarray, np.ndarray], tuple[float, float]]
+
+    def __post_init__(self):
+        count = _integer_argument("output_count", self.output_count, ValueError, 1)
+        object.__setattr__(self, "output_count", count)
 
 
 def identity_functional() -> SolutionFunctional:
@@ -157,7 +164,7 @@ def _resolve_generator(family: str, dimension: int, seed, generator):
     """The generator of a run and the seed its result reports: None for a given generator."""
     if generator is None:
         return make_generator(family, dimension, seed), seed
-    if generator.dimension != dimension:
+    if generator.dimension != _integer_argument("dimension", dimension, ValueError, 1):
         raise ValueError(
             f"generator has dimension {generator.dimension}, expected {dimension}"
         )

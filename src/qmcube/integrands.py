@@ -105,6 +105,7 @@ class MvnProblem:
 
 def equicorrelated_mvn(d: int, sigma: float, upper) -> MvnProblem:
     """One-sided problem with unit variances and constant correlation."""
+    d = _integer_argument("d", d, ValueError, 1)
     sigma = _real_argument("sigma", sigma)
     cov = np.full((d, d), sigma) + (1.0 - sigma) * np.eye(d)
     return MvnProblem(lower=np.full(d, -np.inf), upper=upper, covariance=cov)
@@ -203,6 +204,8 @@ def mvn_equicorrelated_oracle(d: int, sigma: float, upper) -> float:
     shared factor t gives the product form integrated against the standard
     normal density; the [-8, 8] range leaves tail mass below 1e-15.
     """
+    d = _integer_argument("d", d, ValueError, 1)
+    sigma = _real_argument("sigma", sigma)
     if not 0.0 <= sigma < 1.0:
         raise ValueError("sigma must lie in [0, 1)")
     b = np.asarray(upper, dtype=np.float64)
@@ -252,10 +255,10 @@ class SobolIndexProblem:
     dimension: int
 
     def __post_init__(self):
-        for name in ("coordinate", "dimension"):
-            object.__setattr__(self, name, _integer_argument(name, getattr(self, name), ValueError))
-        if not 1 <= self.coordinate <= self.dimension:
-            raise ValueError("coordinate index out of range")
+        d = _integer_argument("dimension", self.dimension, ValueError, 1)
+        object.__setattr__(self, "dimension", d)
+        coordinate = _integer_argument("coordinate", self.coordinate, ValueError, 1, d)
+        object.__setattr__(self, "coordinate", coordinate)
 
     def integrand(self) -> Callable[[np.ndarray], np.ndarray]:
         j = self.coordinate - 1
@@ -330,11 +333,9 @@ class AsianOption:
     monitors: int = 52
 
     def __post_init__(self):
-        object.__setattr__(self, "monitors", _integer_argument("monitors", self.monitors, ValueError))
+        object.__setattr__(self, "monitors", _integer_argument("monitors", self.monitors, ValueError, 1))
         for name in ("spot", "strike", "rate", "volatility", "maturity"):
             object.__setattr__(self, name, _real_argument(name, getattr(self, name)))
-        if self.monitors < 1:
-            raise ValueError(f"monitors must be at least 1, got {self.monitors}")
         if self.spot <= 0:
             raise ValueError(f"spot must be positive, got {self.spot}")
         for name in ("strike", "volatility", "maturity"):

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sequences import _block_rows
+from .sequences import _block_rows, _integer_argument
 
 
 class TransformError(ValueError):
@@ -148,8 +148,7 @@ def magnitude_map(magnitudes: np.ndarray, head: int) -> np.ndarray:
     mags = np.asarray(magnitudes)
     n = mags.shape[0]
     m = _check_pow2(n)
-    if not 1 <= head <= n:
-        raise ValueError(f"head={head} must lie in [1, {n}]")
+    head = _integer_argument("head", head, ValueError, 1, n)
     flips = [None] * m
     best = mags[: n // 2].copy()  # the winners so far, in its first 2**l entries
     upper = mags
@@ -248,11 +247,9 @@ class CoefficientLedger:
                                      or values.shape != (previous.n, previous.outputs)):
             raise ValueError(f"expected ({previous.n}, {previous.outputs}) values for level {m} "
                              f"on the generator of level {previous.m}, got {values.shape}")
-        if not 1 <= r <= m:
-            raise ValueError(f"r={r} must lie in [1, m] for level m={m}")
         self.generator = generator
         self.m = m
-        self.r = r
+        self.r = _integer_argument("r", r, ValueError, 1, m)
         digital = generator.family == "digital"
         coef = fwht(values) if digital else lattice_dft(values)
         if previous is not None:
@@ -353,8 +350,7 @@ def build_ledger(
     supplied, only the 2**(m-1) new points are evaluated and handed over
     (see :class:`CoefficientLedger`).  The ledger keeps ranked tier m - r.
     """
-    if m < 1:
-        raise ValueError("level m must be at least 1")
+    m = _integer_argument("level m", m, ValueError, 1)
     lo = 0 if previous is None else 1 << (m - 1)
     (values,) = _evaluate((f,), generator, lo, (1 << m) - lo)
     return CoefficientLedger(generator, values, previous, r=r)

@@ -392,9 +392,7 @@ class LatticeGenerator:
                 f"generating vector component {bad[0]} is {g[bad[0]]}; "
                 "every component must be a positive odd integer"
             )
-        m_max = _integer_argument("m_max", m_max, LatticeVectorError)
-        if m_max < 1 or m_max > 40:
-            raise LatticeVectorError(f"unsupported m_max={m_max}")
+        m_max = _integer_argument("m_max", m_max, LatticeVectorError, 1, 40)
         self.generating_vector = _read_only_copy(g)
         self.max_level = m_max
         d = g.size
@@ -442,21 +440,32 @@ class LatticeGenerator:
         return PointBatch(coords)
 
 
-def _integer_argument(name: str, value, error: type) -> int:
-    """``value`` as a Python int; ``error`` naming the argument if it is no integer or a bool."""
-    if not isinstance(value, bool):
-        try:
-            return int(operator.index(value))
-        except TypeError:
-            pass
-    raise error(f"{name} must be an integer, got {value!r}")
+def _integer_argument(name: str, value, error: type,
+                      lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a Python int in the inclusive bounds [lo, hi], where ``hi`` needs ``lo``.
+
+    The package's one integer rule: sizes, levels, gaps, tier indices,
+    seeds and counts go through it.  ``error`` names the argument and its
+    value if it is no integer (numpy integers pass; bools, floats and
+    strings do not), and the bounds too if it lies outside them.
+    """
+    if type(value) is not int:
+        if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+            raise error(f"{name} must be an integer, got {value!r}")
+        value = int(operator.index(value))
+    if hi is not None and not lo <= value <= hi:
+        raise error(f"{name}={value} must lie in [{lo}, {hi}]")
+    if lo is not None and value < lo:
+        raise error(f"{name} must be at least {lo}, got {value}")
+    return value
 
 
-def _real_argument(name: str, value) -> float:
-    """``value`` as a Python float; ValueError naming the argument unless it is a finite real, not a bool."""
+def _real_argument(name: str, value, finite: bool = True) -> float:
+    """``value`` as a Python float; ValueError naming the argument unless it is a real, not a bool,
+    and finite if ``finite``."""
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, not the {type(value).__name__} {value!r}")
-    if not math.isfinite(value):
+    if finite and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
@@ -497,9 +506,7 @@ def _select_dimension(dimension: int | None, capacity: int, error: type, capacit
     """``dimension``, defaulting to ``capacity``; ``error`` if it is not an integer in [1, capacity]."""
     if dimension is None:
         return capacity
-    dimension = _integer_argument("dimension", dimension, error)
-    if dimension < 1:
-        raise error("dimension must be positive")
+    dimension = _integer_argument("dimension", dimension, error, 1)
     if dimension > capacity:
         raise error(f"requested dimension {dimension} exceeds {capacity_name} {capacity}")
     return dimension
@@ -591,14 +598,6 @@ def default_lattice_generator(dimension: int) -> LatticeGenerator:
     )
 
 
-def _seed_argument(seed) -> int:
-    """``seed`` as a Python int; ValueError naming it unless it is a nonnegative integer, not a bool."""
-    seed = _integer_argument("seed", seed, ValueError)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    return seed
-
-
 def randomize_digital(template: DigitalGenerator, seed) -> DigitalGenerator:
     """Draw an independent scramble and digital shift for every coordinate.
 
@@ -614,7 +613,7 @@ def randomize_digital(template: DigitalGenerator, seed) -> DigitalGenerator:
     The product runs over blocks of coordinates (see ``_apply_scramble``),
     so its work space stays about 400 KiB at any dimension.
     """
-    rng = np.random.default_rng(_seed_argument(seed))
+    rng = np.random.default_rng(_integer_argument("seed", seed, ValueError, 0))
     cols = template.columns
     d = cols.shape[0]
     # Draws are below 2**52, so their int64 bits read as the same uint64.
@@ -628,7 +627,7 @@ def randomize_digital(template: DigitalGenerator, seed) -> DigitalGenerator:
 
 def randomize_lattice(template: LatticeGenerator, seed) -> LatticeGenerator:
     """Draw a uniform shift modulo 1 for every coordinate; ``seed`` must be a nonnegative integer."""
-    rng = np.random.default_rng(_seed_argument(seed))
+    rng = np.random.default_rng(_integer_argument("seed", seed, ValueError, 0))
     shift = rng.random(template.dimension)
     return LatticeGenerator(template.generating_vector, template.max_level, shift=shift)
 

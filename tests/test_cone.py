@@ -74,6 +74,16 @@ class TestConeParams:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got True"):
             ConeParams(**{field: True})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"l_star": 0}, "l_star must be at least 1, got 0"), ({"r": -2}, "r must be at least 1, got -2"),
+         ({"m_max": 9}, "m_max must be at least 10, got 9"),
+         ({"l_star": 3, "r": 2, "m_max": 4}, "m_max must be at least 5, got 4")],
+    )
+    def test_integer_fields_name_their_bounds(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ConeParams(**fields)
+
     def test_integer_fields_accept_numpy_integers(self):
         p = ConeParams(l_star=np.int64(5), r=np.int32(3), m_max=np.uint8(20))
         assert (p.l_star, p.r, p.m_max) == (5, 3, 20)
@@ -210,6 +220,18 @@ class TestNecessaryCondition:
         led = build_ledger(lambda x: x[:, 0], gen, 10, r=4)
         with pytest.raises(ValueError):
             necessary_condition(led, led, 3, ConeParams())
+
+    @pytest.mark.parametrize(
+        "ell, message",
+        [(True, "ell must be an integer, got True"), (np.True_, "ell must be an integer, got np.True_"),
+         (7.0, "ell must be an integer, got 7.0"), (3, r"ell=3 must lie in \[6, 10\]"),
+         (11, r"ell=11 must lie in \[6, 10\]")],
+    )
+    def test_ell_must_be_an_integer_in_range(self, ell, message):
+        # True failed an unnamed range check as tier 1 and 7.0 raised an IndexError
+        led = build_ledger(lambda x: x[:, 0], make_generator("digital", 1, 2), 10, r=4)
+        with pytest.raises(ValueError, match=message):
+            necessary_condition(led, led, ell, ConeParams())
 
     def test_skipped_when_rho_saturated(self):
         # m' - ell small enough that rho caps at 0.99 < 1 still runs; use a

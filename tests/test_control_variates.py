@@ -52,8 +52,19 @@ class TestBetaQmc:
 
     @pytest.mark.parametrize("r", [0, 2, 3])
     def test_r_must_leave_a_range_below_the_level(self, r):
-        with pytest.raises(ValueError, match=f"r={r} must lie in \\[1, m\\) for level m=2"):
+        with pytest.raises(ValueError, match=f"r={r} must lie in \\[1, 1\\]"):
             beta_qmc(np.ones(4), np.ones((4, 1)), 2, r)
+
+    @pytest.mark.parametrize(
+        "m, r, message",
+        [(6.0, 2, "m must be an integer, got 6.0"), (True, 1, "m must be an integer, got True"),
+         (1, 1, "m must be at least 2, got 1"), (6, True, "r must be an integer, got True"),
+         (6, np.True_, "r must be an integer, got np.True_"), (6, 2.0, "r must be an integer, got 2.0")],
+    )
+    def test_level_and_gap_must_be_integers(self, m, r, message):
+        # r=True ran as r = 1, and a float raised a TypeError from the shift
+        with pytest.raises(ValueError, match=message):
+            beta_qmc(np.ones(64), np.ones((64, 1)), m, r)
 
     def test_least_squares_residual_never_worse_than_zero(self):
         # spectrum reduction: the fitted residual energy on the range is at

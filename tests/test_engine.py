@@ -119,6 +119,16 @@ class TestOptimalEstimate:
             with pytest.raises(ValueError, match="neither may be NaN"):
                 fn(v_minus, v_plus, Tolerance(0.1, 0.1))
 
+    @pytest.mark.parametrize(
+        "v_minus, v_plus, name",
+        [("1", "2", "v_minus"), (False, True, "v_minus"), (0.0, "2", "v_plus"), (0.5, np.True_, "v_plus")],
+    )
+    def test_endpoints_must_be_real_numbers(self, v_minus, v_plus, name):
+        # strings and bools used to compare and cast: ("1", "2") gave 1.5
+        for fn in (optimal_estimate, sup_tolerance):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                fn(v_minus, v_plus, Tolerance(abs_tol=1.0))
+
     def test_overflowing_products_stay_finite(self):
         # the weighted products overflow to -inf and +inf, or to +inf twice
         tol = Tolerance(rel_tol=0.1)
@@ -300,6 +310,35 @@ class TestIntegrate:
         gen = make_generator(family, 7, 1)
         with pytest.raises(ValueError, match="generator has dimension 7, expected 5"):
             integrate_scalar(lambda x: x.sum(axis=1), 5, Tolerance(abs_tol=1e-3), generator=gen)
+
+    @pytest.mark.parametrize("dimension", [3.0, True])
+    def test_dimension_checked_beside_a_given_generator(self, dimension):
+        # with a generator, 3.0 and True used to run; without one they raised
+        f = lambda x: np.prod(2.0 * x, axis=1)
+        spec = ControlVariateSpec(controls=lambda x: x[:, 0], means=[0.5])
+        tol = Tolerance(abs_tol=1e-3)
+        message = f"dimension must be an integer, got {dimension!r}"
+        for kw in ({"generator": make_generator("digital", int(dimension), 7)}, {"seed": 7}):
+            with pytest.raises(ValueError, match=message):
+                integrate_scalar(f, dimension, tol, **kw)
+            with pytest.raises(ValueError, match=message):
+                cv_integrate(f, dimension, spec, tol, **kw)
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [(True, "output_count must be an integer, got True"), (1.0, "output_count must be an integer, got 1.0"),
+         (0, "output_count must be at least 1, got 0")],
+    )
+    def test_output_count_must_be_a_positive_integer(self, count, message):
+        # csv_row used to print True or 1.0 as p
+        with pytest.raises(ValueError, match=message):
+            q.SolutionFunctional(count, lambda mu, err: (mu[0] - err[0], mu[0] + err[0]))
+
+    def test_numpy_output_count_stored_as_int(self):
+        functional = q.SolutionFunctional(np.int64(1), identity_functional().bounds)
+        assert type(functional.output_count) is int
+        res = integrate(lambda x: np.prod(2.0 * x, axis=1), 3, functional, Tolerance(abs_tol=1e-3), seed=7)
+        assert res.csv_row(False)[3] == "1" and type(res.outputs) is int
 
     def test_output_count_mismatch(self):
         with pytest.raises(ValueError, match="outputs"):

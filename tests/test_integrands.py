@@ -199,6 +199,16 @@ class TestGenz:
         with pytest.raises(ValueError, match=re.escape(message)):
             equicorrelated_mvn(2, sigma, [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [(True, "d must be an integer, got True"), (2.0, "d must be an integer, got 2.0"),
+         (0, "d must be at least 1, got 0")],
+    )
+    def test_equicorrelated_size_checked(self, d, message):
+        # True and 2.0 raised a bare TypeError from np.full
+        with pytest.raises(ValueError, match=message):
+            equicorrelated_mvn(d, 0.5, [1.0])
+
     @pytest.mark.parametrize("d, columns", [(4, 5), (4, 2), (1, 2), (2, 2)])
     def test_integrand_checks_point_width(self, d, columns):
         # a fifth column used to be ignored and two columns raised an IndexError
@@ -260,6 +270,18 @@ class TestEquicorrelatedOracle:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             mvn_equicorrelated_oracle(2, 1.0, [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "d, sigma, message",
+        [(2, False, "sigma must be a real number, not the bool False"),
+         (2, "0.5", "sigma must be a real number, not the str '0.5'"),
+         (2.0, 0.5, "d must be an integer, got 2.0"), (True, 0.5, "d must be an integer, got True")],
+    )
+    def test_arguments_checked(self, d, sigma, message):
+        # sigma=False gave the sigma = 0 value, "0.5" raised a TypeError,
+        # and d=2.0 and d=True were taken as sizes
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mvn_equicorrelated_oracle(d, sigma, [1.0] * 2)
 
     def test_adaptive_quadrature_on_smooth_function(self):
         val = adaptive_gauss_legendre(lambda t: np.exp(-t * t), -8.0, 8.0)
@@ -412,6 +434,16 @@ class TestSobolIndexFunctional:
         # coordinate 1.5 used to pass the range check and fail at evaluation
         name = next(iter(fields))
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SobolIndexProblem(**{"model": bratley_g, "coordinate": 1, "dimension": 6, **fields})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"coordinate": 7}, r"coordinate=7 must lie in \[1, 6\]"),
+         ({"coordinate": 0}, r"coordinate=0 must lie in \[1, 6\]"),
+         ({"dimension": 0}, "dimension must be at least 1, got 0")],
+    )
+    def test_sizes_name_their_bounds(self, fields, message):
+        with pytest.raises(ValueError, match=message):
             SobolIndexProblem(**{"model": bratley_g, "coordinate": 1, "dimension": 6, **fields})
 
     def test_numpy_integer_sizes_match_int(self):

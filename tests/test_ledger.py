@@ -329,6 +329,12 @@ class TestTierSums:
         with pytest.raises(ValueError, match=r"head=.* must lie in \[1, 8\]"):
             magnitude_map(np.ones(8), head)
 
+    @pytest.mark.parametrize("head", [True, np.True_, 4.0])
+    def test_magnitude_map_head_must_be_an_integer(self, head):
+        # True built a one-entry map and 4.0 raised an IndexError
+        with pytest.raises(ValueError, match=f"head must be an integer, got {head!r}"):
+            magnitude_map(np.ones(8), head)
+
 
 class TestLedger:
     def test_constant_integrand(self):
@@ -533,6 +539,25 @@ class TestLedger:
             build_ledger(f, gen, 10, led, r=4)
         with pytest.raises(ValueError):
             build_ledger(f, make_generator("digital", 2, 10), 9, led, r=4)
+
+    @pytest.mark.parametrize("m", [True, np.True_, 3.0])
+    def test_level_must_be_an_integer(self, m):
+        # True built level 1 and 3.0 raised a TypeError from the shift
+        with pytest.raises(ValueError, match=f"level m must be an integer, got {m!r}"):
+            build_ledger(lambda x: x[:, 0], make_generator("digital", 1, 9), m, r=1)
+
+    @pytest.mark.parametrize(
+        "r, message",
+        [(True, "r must be an integer, got True"), (np.True_, "r must be an integer, got np.True_"),
+         (2.0, "r must be an integer, got 2.0"), (0, r"r=0 must lie in \[1, 3\]"),
+         (4, r"r=4 must lie in \[1, 3\]")],
+    )
+    def test_gap_must_be_an_integer_in_range(self, r, message):
+        gen = make_generator("digital", 1, 9)
+        with pytest.raises(ValueError, match=message):
+            build_ledger(lambda x: x[:, 0], gen, 3, r=r)
+        with pytest.raises(ValueError, match=message):
+            CoefficientLedger(gen, np.ones((8, 1)), r=r)
 
     def test_level_must_be_positive(self):
         with pytest.raises(ValueError, match="level m must be at least 1"):

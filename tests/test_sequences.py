@@ -514,7 +514,7 @@ class TestSeedArgument:
     @pytest.mark.parametrize(
         "seed, message",
         [(True, "seed must be an integer, got True"), ([1, 2], r"seed must be an integer, got \[1, 2\]"),
-         (1.5, "seed must be an integer, got 1.5"), (-1, "seed must be nonnegative, got -1"),
+         (1.5, "seed must be an integer, got 1.5"), (-1, "seed must be at least 0, got -1"),
          (None, "seed must be an integer, got None")],
     )
     def test_bad_seed_rejected(self, family, seed, message):
@@ -652,7 +652,7 @@ class TestLattice:
 
     @pytest.mark.parametrize("m_max", [-1, 0, 41])
     def test_m_max_outside_supported_range(self, m_max):
-        with pytest.raises(LatticeVectorError, match=f"unsupported m_max={m_max}"):
+        with pytest.raises(LatticeVectorError, match=f"m_max={m_max} must lie in \\[1, 40\\]"):
             LatticeGenerator([1, 3], m_max=m_max)
         for ok in (1, 40):
             assert LatticeGenerator([1, 3], m_max=ok).max_level == ok
@@ -665,7 +665,7 @@ class TestLattice:
         with pytest.raises(LatticeVectorError):
             load_lattice_vector("1\n3\n", m_max=6, dimension=5)
         for dimension in (0, -1):
-            with pytest.raises(LatticeVectorError, match="positive"):
+            with pytest.raises(LatticeVectorError, match=f"dimension must be at least 1, got {dimension}"):
                 load_lattice_vector("1\n17\n33\n", m_max=6, dimension=dimension)
 
     def test_blank_lines_skipped_but_counted(self):
