@@ -208,9 +208,9 @@ def mvn_equicorrelated_oracle(d: int, sigma: float, upper) -> float:
     sigma = _real_argument("sigma", sigma)
     if not 0.0 <= sigma < 1.0:
         raise ValueError("sigma must lie in [0, 1)")
-    b = np.asarray(upper, dtype=np.float64)
-    if b.size != d:
-        raise ValueError("upper must have length d")
+    b = _numeric_array("upper", upper, np.float64, ValueError)
+    if b.shape != (d,):
+        raise ValueError(f"upper must have length d = {d}, got shape {b.shape}")
     if np.isnan(b).any():
         raise ValueError("no upper limit may be NaN")
     if sigma == 0.0:

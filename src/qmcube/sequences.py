@@ -149,8 +149,7 @@ def _apply_scramble(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     ``rows[c, r]`` is the mask of row r+1 (digit r+1 of the output) of
     coordinate c's matrix; output digit r+1 of ``cols[c, j]`` is the
-    parity of ``rows[c, r] & cols[c, j]``.  ``cols`` has shape (d, k) for
-    any k <= 52, so a lazy scramble multiplies only the columns it needs.
+    parity of ``rows[c, r] & cols[c, j]``; ``cols`` has shape (d, k).
     Each block of at most ``_SCRAMBLE_COORDINATES`` coordinates takes four
     whole-array passes: AND every column with every row, taking the rows
     last digit first so that digit r+1 sits at place 51 - r; count the
@@ -272,15 +271,10 @@ class DigitalGenerator:
         Entries of both arrays must be below 2**52.
 
     A generator from ``randomize_digital`` holds its scramble's row masks
-    and its template's columns instead, and scrambles column b the first
-    time a ``points`` range, or the first build of its table, reaches
-    index bit b.  Every call of ``_apply_scramble`` has a fixed cost, so a
-    growth scrambles twice the columns it needs (capped at 52), which at
-    least doubles the scrambled prefix.  At d = 52 the table reads 10
-    columns, so the first ``points`` call scrambles at least 20, enough
-    for 2**20 points.  A generator built from given columns has all 52
-    done.  Reading ``columns`` completes the scramble and drops the rows
-    and the template.
+    and its template's columns instead, and multiplies them, all 52
+    columns in one ``_apply_scramble`` call, at the first read of
+    ``columns`` or the first ``points`` call, whichever comes first.
+    The product then replaces the masks and the template.
     """
 
     family = "digital"
@@ -303,61 +297,51 @@ class DigitalGenerator:
         for name, bits in (("columns", columns), ("shift", self.shift)):
             if bits.max() >= 1 << PRECISION:
                 raise ValueError(f"{name} must fit in {PRECISION} bits, below 2**{PRECISION}")
-        self._scramble = (_read_only_copy(columns), None, None)
+        # The read-only columns, or a pending scramble's (row masks, template
+        # columns); ``columns`` replaces the pair with their product.
+        self._columns = _read_only_copy(columns)
         self._table = None
 
     @classmethod
     def _scrambled(cls, rows: np.ndarray, template: np.ndarray, shift: np.ndarray) -> DigitalGenerator:
-        """Generator whose column b is ``_apply_scramble(rows, template[:, b])``, none done yet.
+        """Generator whose columns are ``_apply_scramble(rows, template)``, multiplied at first use.
 
         The caller vouches for the bounds that ``__init__`` checks."""
         gen = cls.__new__(cls)
         gen.shift = shift
-        gen._scramble = (np.empty((template.shape[0], 0), dtype=np.uint64), rows, template)
+        gen._columns = (rows, template)
         gen._table = None
         return gen
 
-    def _columns_through(self, k: int) -> np.ndarray:
-        """Read-only scrambled columns, at least the first ``k`` of them.
-
-        ``_scramble`` is one tuple (done columns, row masks, template
-        columns), so the count of done columns, the width of the first
-        entry, is published with the columns themselves.  Two concurrent
-        growths at worst scramble a column twice, with identical bits.
-        """
-        done, rows, template = self._scramble
-        have = done.shape[1]
-        if have >= k:
-            return done
-        k = min(2 * k, PRECISION)
-        done = np.concatenate([done, _apply_scramble(rows, template[:, have:k])], axis=1)
-        done.flags.writeable = False
-        self._scramble = (done, rows, template) if k < PRECISION else (done, None, None)
-        return done
-
     @property
     def columns(self) -> np.ndarray:
-        """The read-only (d, 52) generator-matrix columns; reading them completes the scramble."""
-        return self._columns_through(PRECISION)
+        """The read-only (d, 52) generator-matrix columns.
+
+        The first read applies a pending scramble.  Two concurrent first
+        reads at worst multiply twice, with identical bits."""
+        cols = self._columns
+        if type(cols) is tuple:
+            cols = _apply_scramble(*cols)
+            cols.flags.writeable = False
+            self._columns = cols
+        return cols
 
     @property
     def dimension(self) -> int:
-        return self._scramble[0].shape[0]
+        return self.shift.shape[0]
 
     def points(self, start: int, count: int) -> PointBatch:
         """Generate points x_i = C z_i xor shift in natural order: the 52-bit
         integer of index i is the shift XOR the columns of i's set bits.
 
-        The call first scrambles the columns its range and the table need
-        (see ``_columns_through``).  The first call builds the generator's
-        table of its first points (see ``_doubled_points``).  The table's
-        entries carry the bits of 1.0, which XOR
-        leaves alone, so every integer reads as the float 1 + x_i and one
-        exact subtraction makes x_i.
+        The first call applies a pending scramble (see ``columns``) and
+        builds the generator's table of its first points (see
+        ``_doubled_points``).  The table's entries carry the bits of 1.0,
+        which XOR leaves alone, so every integer reads as the float
+        1 + x_i and one exact subtraction makes x_i.
         """
         start, count = _check_index_range(start, count, self.max_level)
-        table_bits = _block_rows(self.dimension).bit_length() - 1
-        cols = self._columns_through(max(table_bits, (start + count - 1).bit_length()))
+        cols = self.columns
         if self._table is None:
             origin = np.full(self.dimension, _ONE_BITS)
             self._table = _point_table(cols, origin, np.bitwise_xor, self.max_level)
@@ -608,10 +592,10 @@ def randomize_digital(template: DigitalGenerator, seed) -> DigitalGenerator:
     ``template.columns``: a template that is itself scrambled gets a
     second scramble on top of its own.  Nothing is multiplied here: the
     generator keeps the row masks and the template's columns and
-    scrambles each column when a point first needs it (see
-    ``DigitalGenerator``), so a set-up pays for its seed's draws alone.
-    The product runs over blocks of coordinates (see ``_apply_scramble``),
-    so its work space stays about 400 KiB at any dimension.
+    multiplies them at its first use (see ``DigitalGenerator``), so a
+    set-up pays for its seed's draws alone.  The product runs over blocks
+    of coordinates (see ``_apply_scramble``), so its work space stays
+    about 400 KiB at any dimension.
     """
     rng = np.random.default_rng(_integer_argument("seed", seed, ValueError, 0))
     cols = template.columns

@@ -443,6 +443,20 @@ class TestIntegrate:
         assert cv.beta.tolist() == [beta] and not cv.beta_fallback
         assert cv.result.csv_row(False) == result.csv_row(False)
 
+    def test_sobol_index_row_is_pinned(self, monkeypatch):
+        # the benchmark's three-output workload, the only digital run past
+        # 2^17 points; golden.json's rows for it come from older code
+        monkeypatch.syspath_prepend(str(BENCHMARK))
+        workloads = importlib.import_module("workloads")
+        result = workloads.WORKLOADS["sobol-index-digital"].setup(1, lambda f: f)()
+        assert ",".join(result.csv_row(include_wall_time=False)) == (
+            "None,digital,12,3,4194304,0.6528645368488862,0.725799177224911,"
+            "tolerance-met+cone-violation-flagged"
+        )
+        assert result.estimate.err.tolist() == [
+            3.9066094828031256e-07, 1.1198232951642985e-07, 1.0620386991572763e-08
+        ]
+
 
 def keister(dimension):
     """pi^(d/2) cos(|z| / sqrt 2) at the normal quantiles z of x: integral of

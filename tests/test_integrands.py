@@ -302,6 +302,19 @@ class TestEquicorrelatedOracle:
         with pytest.raises(ValueError, match="upper must have length d"):
             mvn_equicorrelated_oracle(3, 0.5, [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "d, upper, message",
+        [(2, ["1", "1"], "upper must hold real numbers, got dtype <U1"),
+         (2, [True, True], "upper must hold real numbers, got dtype bool"),
+         (2, [[1.0, 1.0]], "upper must have length d = 2, got shape (1, 2)"),
+         (1, 1.0, "upper must have length d = 1, got shape ()")],
+    )
+    def test_upper_checked_like_mvn_problem(self, d, upper, message):
+        # strings and booleans were cast to the value at [1, 1]; a (1, d)
+        # row broadcast and a scalar failed with unnamed errors
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mvn_equicorrelated_oracle(d, 0.5, upper)
+
 
 class TestBratley:
     def test_corners(self):

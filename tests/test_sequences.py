@@ -301,7 +301,7 @@ class TestDigitalRandomization:
         make_generator("digital", 1024, 1)  # expand the table rows first
         tracemalloc.start()
         try:
-            make_generator("digital", 1024, 1).columns  # all 52 columns in one growth
+            make_generator("digital", 1024, 1).columns  # all 52 columns in one product
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,7 +394,7 @@ class TestDigitalRandomization:
 
 
 class TestLazyScramble:
-    """A randomized digital generator scrambles column b when a point first needs it."""
+    """A randomized digital generator scrambles all its columns at first use, not at set-up."""
 
     @staticmethod
     def count_scrambled_columns(monkeypatch):
@@ -408,7 +408,7 @@ class TestLazyScramble:
     @pytest.mark.parametrize(
         "ranges",
         [
-            # d = 5: the first call scrambles 26 columns, twice the table's 13
+            # d = 5: the table reads 13 columns, the ranges up to all 52
             [(0, 1), (1, 1023), (1023, 2), (0, 1 << 11), ((1 << 20) - 3, 6), ((1 << 26) - 1, 2)],
             [((1 << 40) - 2, 4), (1 << 40, 3)],
             [((1 << 52) - 3, 3), (5, 7)],
@@ -437,7 +437,7 @@ class TestLazyScramble:
             assert np.array_equal(cols, ref_cols) and cols.shape == (d, 52)
             with pytest.raises(ValueError, match="read-only"):
                 cols[0, 0] ^= np.uint64(1)
-            assert gen.columns is cols and gen._scramble[1:] == (None, None)  # rows and template dropped
+            assert gen.columns is cols and gen._columns is cols  # rows and template dropped
             after = [gen.points(start, count).points for start, count in schedule]
             assert all(np.array_equal(a, b) for a, b in zip(before, after))
             assert np.array_equal(gen.points((1 << 52) - 2, 2).points,
@@ -449,28 +449,32 @@ class TestLazyScramble:
         twice, shift = randomize_reference(once, 9)
         for reads in (0, 1 << 12):
             template = make_generator("digital", d, 3)
-            template.points(0, reads)  # lazily scrambled in part, or (reads = 0) only for the table
+            template.points(0, reads)  # scrambled by its first points call, even an empty one
             gen = randomize_digital(template, 9)
             assert np.array_equal(gen.columns, twice) and np.array_equal(gen.shift, shift)
 
     def test_set_up_scrambles_no_column(self, monkeypatch):
         counts = self.count_scrambled_columns(monkeypatch)
         gen = make_generator("digital", 52, 1)
-        assert counts == [] and gen._scramble[0].shape == (52, 0)
+        assert counts == [] and gen.dimension == 52  # a pending scramble knows its dimension
         gen.points(0, 1 << 17)  # the table reads 10 columns, the range 17
-        assert counts == [34]
+        assert counts == [52]  # one call, over every column
         gen.points(1 << 17, 1 << 10)
-        assert counts == [34]
         assert gen.columns.shape == (52, 52)
-        assert counts == [34, 18]  # every column scrambled once
         gen.points((1 << 52) - 1, 1)
         randomize_digital(default_digital_generator(3), 2)
-        assert counts == [34, 18]
+        assert counts == [52]
+        gen = make_generator("digital", 12, 2)
+        assert counts == [52] and gen.dimension == 12
+        cols = gen.columns  # a first read of the columns scrambles them too
+        assert counts == [52, 52] and cols.shape == (12, 52)
+        gen.points(0, 1 << 12)
+        assert counts == [52, 52] and gen.columns is cols
 
     def test_concurrent_growths_agree(self):
-        # Threads share one fresh generator: each growth publishes its columns
-        # and their count together, so no thread reads a column before it is
-        # written, whichever growth lands last.
+        # Threads share one fresh generator: a first use publishes all 52
+        # columns in one assignment, so no thread reads a column before it
+        # is written, whichever first use lands last.
         d, seed = 3, 21
         ref_cols, ref_shift = randomize_reference(template_columns_reference(d), seed)
         eager = DigitalGenerator(ref_cols, ref_shift)

@@ -11,9 +11,10 @@ lazy imports inside the library resolve to the right tree.  After one
 warm-up call each, the trees' calls alternate in pairs, the order flipping
 every pair.  The output gives each tree's median call time and
 interquartile range, the median over pairs of the working tree's time
-divided by the ref's, and the share of pairs the working tree won.  The
-result rows of the two trees are compared on every call; a mismatch is
-reported and makes the exit status 1.
+divided by the ref's, and the share of pairs the working tree won.  Every
+call's result is compared with the other tree's bit for bit: the CSV row,
+each entry of ``estimate.err`` and every field of each violation report.
+The first field that differs is reported and makes the exit status 1.
 
 By default each tree's set-up is built once and every call reuses it, so
 work that a change moves out of set-up and into the first call would be
@@ -24,6 +25,7 @@ timed call and reports the set-up times and the call times separately.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import statistics
 import subprocess
@@ -80,12 +82,35 @@ class Tree:
         return wall, solve
 
     def call(self, solve):
-        """(wall seconds, result row) of one call."""
+        """(wall seconds, ``fields`` of the result) of one call."""
         with self.active():
             start = perf_counter()
             result = solve()
             wall = perf_counter() - start
-        return wall, ",".join(result.csv_row(include_wall_time=False))
+        return wall, fields(result)
+
+
+def fields(result) -> list[tuple[str, str]]:
+    """(name, value) pairs of a result that must agree bit for bit across trees.
+
+    Values are plain strings, since each tree has its own classes: repr
+    of a Python float round-trips its bits, and the violation count comes
+    before the reports so that lists of two lengths differ there first."""
+    out = [("row", ",".join(result.csv_row(include_wall_time=False)))]
+    out += [(f"err[{i}]", repr(e)) for i, e in enumerate(result.estimate.err.tolist())]
+    out.append(("violations", str(len(result.cone_violations))))
+    for i, report in enumerate(result.cone_violations):
+        out += [(f"violations[{i}].{name}", repr(value.item() if hasattr(value, "item") else value))
+                for name, value in dataclasses.asdict(report).items()]
+    return out
+
+
+def first_difference(a: list[tuple[str, str]], b: list[tuple[str, str]]) -> str | None:
+    """The first differing pair of two ``fields`` lists, described, or None if they agree."""
+    for x, y in zip(a, b):
+        if x != y:
+            return f"{x[0]}={x[1]} against {y[0]}={y[1]}"
+    return None if len(a) == len(b) else f"{len(a)} fields against {len(b)}"
 
 
 def archive(ref: str, into: Path) -> Path:
@@ -135,8 +160,8 @@ def main(argv=None) -> int:
             if args.workload not in tree.workloads:
                 raise SystemExit(f"{tree.label}: unknown workload {args.workload!r}")
         solves = [tree.setup(args.workload, args.seed)[1] for tree in trees]
-        rows = [tree.call(solve)[1] for tree, solve in zip(trees, solves)]  # warm-up
-        same = rows[0] == rows[1]
+        results = [tree.call(solve)[1] for tree, solve in zip(trees, solves)]  # warm-up
+        differ = first_difference(*results)
         setups: list[list[float]] = [[], []]
         walls: list[list[float]] = [[], []]
         for k in range(args.pairs):
@@ -144,21 +169,22 @@ def main(argv=None) -> int:
                 if args.fresh_setup:
                     setup_wall, solves[i] = trees[i].setup(args.workload, args.seed)
                     setups[i].append(setup_wall)
-                wall, row = trees[i].call(solves[i])
+                wall, result = trees[i].call(solves[i])
                 walls[i].append(wall)
-                if row != rows[i]:
-                    same = False
-                    print(f"# {trees[i].label}: pair {k} gave another row: {row}")
+                changed = first_difference(result, results[i])
+                if changed:
+                    differ = differ or f"{trees[i].label} changed between calls"
+                    print(f"# {trees[i].label}: pair {k} gave another result: {changed}")
 
     mode = " fresh-setup" if args.fresh_setup else ""
     print(f"# workload={args.workload} seed={args.seed} pairs={args.pairs}{mode}")
     if args.fresh_setup:
         report("set-up", args.ref, trees, setups)
     report("call", args.ref, trees, walls)
-    if not same:
-        print(f"# RESULT ROWS DIFFER\n#   work: {rows[0]}\n#   {args.ref}: {rows[1]}")
+    if differ:
+        print(f"# RESULTS DIFFER (work against {args.ref}): {differ}")
         return 1
-    print(f"# result rows match: {rows[0]}")
+    print(f"# results match in {len(results[0])} fields: {results[0][0][1]}")
     return 0
 
 
